@@ -11,11 +11,13 @@
 // events return to a free-list and are recycled by later At/After calls,
 // so a simulation's event-struct footprint is its peak concurrency, not
 // its event count. Timers carry a generation number so a stale Timer for
-// a recycled event is a safe no-op.
+// a recycled event is a safe no-op. A timer that is repeatedly pushed
+// back — a FlowResource's next-completion timer, moved on every
+// reallocation — is rescheduled in place (Engine.Reschedule) rather than
+// cancelled and replaced; the firing order is the same either way.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -39,36 +41,125 @@ type event struct {
 	index int // heap index, -1 when popped
 }
 
+// eventHeap is a 4-ary min-heap of pending events ordered by
+// (at, phase, seq). Four children per node halve the tree depth of a
+// binary heap, and the typed methods compare event fields directly
+// instead of going through container/heap's interface calls. Every
+// event records its slot in index, which makes Cancel and Reschedule
+// O(log n) in place.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// less reports whether a fires before b. (at, phase, seq) is a total
+// order — seq is unique per scheduling — so the pop order is fully
+// determined whatever the heap's internal layout.
+func (eventHeap) less(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if h[i].phase != h[j].phase {
-		return h[i].phase < h[j].phase
+	if a.phase != b.phase {
+		return a.phase < b.phase
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// up sifts the event at slot i toward the root.
+func (h eventHeap) up(i int) {
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !h.less(ev, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = ev
+	ev.index = i
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+// minChild returns the slot of the earliest of slot i's children, or
+// -1 when slot i is a leaf.
+func (h eventHeap) minChild(i int) int {
+	c := 4*i + 1
+	if c >= len(h) {
+		return -1
+	}
+	m, end := c, min(c+4, len(h))
+	for j := c + 1; j < end; j++ {
+		if h.less(h[j], h[m]) {
+			m = j
+		}
+	}
+	return m
 }
-func (h *eventHeap) Pop() any {
+
+// down sifts the event at slot i toward the leaves and reports whether
+// it moved.
+func (h eventHeap) down(i int) bool {
+	ev := h[i]
+	i0 := i
+	for {
+		m := h.minChild(i)
+		if m < 0 || !h.less(h[m], ev) {
+			break
+		}
+		h[i] = h[m]
+		h[i].index = i
+		i = m
+	}
+	h[i] = ev
+	ev.index = i
+	return i > i0
+}
+
+// push inserts an event.
+func (h *eventHeap) push(ev *event) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
+}
+
+// pop removes the earliest event. The root's hole sinks along the
+// smaller children to a leaf, and the last event refills it there and
+// sifts up. That skips down's per-level compare against the last
+// event, which usually belongs near the bottom anyway.
+func (h *eventHeap) pop() *event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	top, last := old[0], old[n]
+	old[n] = nil
+	rest := old[:n]
+	*h = rest
+	top.index = -1
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for m := rest.minChild(0); m >= 0; m = rest.minChild(i) {
+		rest[i] = rest[m]
+		rest[i].index = i
+		i = m
+	}
+	rest[i] = last
+	rest.up(i)
+	return top
+}
+
+// remove deletes the event at slot i.
+func (h *eventHeap) remove(i int) {
+	old := *h
+	n := len(old) - 1
+	ev := old[i]
+	if i != n {
+		old[i] = old[n]
+		old[i].index = i
+	}
+	old[n] = nil
+	*h = old[:n]
+	if i != n && !h.down(i) {
+		h.up(i)
+	}
+	ev.index = -1
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe
@@ -108,8 +199,8 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Steps reports how many events have been processed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// Timer identifies a scheduled event so it can be cancelled. The zero
-// Timer is valid and cancels nothing.
+// Timer identifies a scheduled event so it can be cancelled or moved
+// (Engine.Reschedule). The zero Timer is valid and cancels nothing.
 type Timer struct {
 	ev  *event
 	gen uint64
@@ -125,7 +216,7 @@ func (t Timer) Cancel() {
 		return // already fired (and possibly recycled), or zero Timer
 	}
 	if ev.index >= 0 {
-		heap.Remove(&t.eng.heap, ev.index)
+		t.eng.heap.remove(ev.index)
 	}
 	t.eng.recycle(ev)
 }
@@ -152,36 +243,61 @@ func (e *Engine) alloc() *event {
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past panics: it is always a logic error in a DES.
-func (e *Engine) At(t time.Duration, fn func()) Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
-	}
-	ev := e.alloc()
-	ev.at = t
-	ev.phase = 0
-	ev.seq = e.seq
-	ev.fn = fn
-	e.seq++
-	heap.Push(&e.heap, ev)
-	return Timer{ev: ev, gen: ev.gen, eng: e}
-}
+func (e *Engine) At(t time.Duration, fn func()) Timer { return e.schedule(t, 0, fn) }
 
 // AtLate schedules fn at absolute virtual time t in the late phase:
 // after every normal event with the same timestamp, however those
 // events were enqueued. Among themselves, late events keep FIFO order.
 // Use it for end-of-instant finalizers that must see a settled state.
-func (e *Engine) AtLate(t time.Duration, fn func()) Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
-	}
+func (e *Engine) AtLate(t time.Duration, fn func()) Timer { return e.schedule(t, 1, fn) }
+
+// schedule enqueues fn at (t, phase) with the next sequence number.
+func (e *Engine) schedule(t time.Duration, phase uint8, fn func()) Timer {
+	e.checkNotPast(t)
 	ev := e.alloc()
 	ev.at = t
-	ev.phase = 1
+	ev.phase = phase
 	ev.seq = e.seq
 	ev.fn = fn
 	e.seq++
-	heap.Push(&e.heap, ev)
+	e.heap.push(ev)
 	return Timer{ev: ev, gen: ev.gen, eng: e}
+}
+
+func (e *Engine) checkNotPast(t time.Duration) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
+	}
+}
+
+// Reschedule moves *t's pending event to absolute time at with callback
+// fn, in the normal phase, and updates *t to the moved event. A stale
+// or zero *t (fired, cancelled) is simply replaced by At(at, fn).
+//
+// The moved event takes a fresh sequence number and a new generation,
+// so it fires — and every other event fires — exactly as after
+// t.Cancel() followed by *t = At(at, fn): the pop order is fixed by the
+// total order (at, phase, seq), and Cancel+At would consume the same
+// one sequence number. Copies of the old Timer go stale either way.
+// What Reschedule saves is the heap removal, the free-list round trip
+// and the re-insertion: the event sifts from its current slot.
+func (e *Engine) Reschedule(t *Timer, at time.Duration, fn func()) {
+	ev := t.ev
+	if ev == nil || ev.gen != t.gen {
+		*t = e.At(at, fn)
+		return
+	}
+	e.checkNotPast(at)
+	ev.at = at
+	ev.phase = 0
+	ev.seq = e.seq
+	ev.fn = fn
+	ev.gen++
+	e.seq++
+	t.gen = ev.gen
+	if !e.heap.down(ev.index) {
+		e.heap.up(ev.index)
+	}
 }
 
 // After schedules fn to run d after the current time. Negative d is
@@ -212,7 +328,7 @@ func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 		if ev.at > deadline {
 			break
 		}
-		heap.Pop(&e.heap)
+		e.heap.pop()
 		e.now = ev.at
 		e.steps++
 		if e.MaxSteps > 0 && e.steps > e.MaxSteps {

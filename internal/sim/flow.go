@@ -37,16 +37,15 @@ type Flow struct {
 
 	remaining float64 // bytes
 	rate      float64 // current allocated bytes/sec
-	last      time.Duration
-	res       *FlowResource
-	idx       int // index in res.sorted, -1 when done
-	started   time.Duration
-	done      bool
 	// umax is the flow's maximum useful device utilisation,
 	// soloRate/FullRate. It depends only on the flow's static fields, so
 	// it is computed once at Start and drives the resource's
-	// incrementally-maintained demand order.
-	umax float64
+	// incrementally-maintained demand order. It sits next to remaining
+	// and rate: reallocate's per-flow pass reads all three.
+	umax    float64
+	res     *FlowResource
+	started time.Duration
+	done    bool
 }
 
 // Rate returns the currently allocated throughput of the flow.
@@ -102,15 +101,24 @@ type FlowResource struct {
 	flows []*Flow // arrival order: completion callbacks preserve it
 	// sorted holds the active flows ordered by ascending umax (ties in
 	// arrival order). It is maintained incrementally — binary insertion
-	// on Start, compaction on completion — so reallocate is a single
-	// allocation-free pass instead of a per-event sort.
+	// on Start, one compaction pass per completion event — so
+	// reallocate is a single allocation-free pass instead of a
+	// per-event sort.
 	sorted []*Flow
 
-	timer     Timer
-	timerSet  bool
-	lastBusy  time.Duration
-	stats     FlowStats
-	recompute bool // guard against re-entrant recomputation
+	// timer is the next-completion event, moved in place by every
+	// reallocation (Engine.Reschedule); finishF is finishReady bound
+	// once, so rescheduling it allocates nothing.
+	timer   Timer
+	finishF func()
+	// last is the instant every active flow was last advanced to: each
+	// Start and completion advances all of them together, so one dt
+	// serves the whole resource.
+	last     time.Duration
+	lastBusy time.Duration
+	stats    FlowStats
+	// reallocs counts water-filling passes (see Reallocations).
+	reallocs uint64
 	// doneScratch is finishReady's reusable completed-flow buffer, so
 	// the steady-state completion path stays allocation-free.
 	doneScratch []*Flow
@@ -130,11 +138,18 @@ type FlowEvent struct {
 
 // NewFlowResource creates a resource attached to the engine.
 func NewFlowResource(eng *Engine, name string) *FlowResource {
-	return &FlowResource{eng: eng, name: name}
+	r := &FlowResource{eng: eng, name: name}
+	r.finishF = r.finishReady
+	return r
 }
 
 // Name returns the resource name.
 func (r *FlowResource) Name() string { return r.name }
+
+// Reallocations reports how many times the resource has recomputed its
+// water-filling allocation: once per flow start and once per completion
+// event.
+func (r *FlowResource) Reallocations() uint64 { return r.reallocs }
 
 // Active returns the number of in-progress flows.
 func (r *FlowResource) Active() int { return len(r.flows) }
@@ -168,8 +183,13 @@ func (r *FlowResource) Start(f *Flow) {
 	}
 	f.res = r
 	f.remaining = float64(f.Bytes)
-	f.last = r.eng.Now()
-	f.started = f.last
+	// A re-Started Flow struct carries its last run's state: the
+	// resource-wide advance charges every active flow, so the new one
+	// must enter at rate 0 to be charged nothing, and completion
+	// compacts the demand order by the done flag.
+	f.rate = 0
+	f.done = false
+	f.started = r.eng.Now()
 	f.umax = f.soloRate() / float64(f.FullRate)
 	if len(r.flows) == 0 {
 		r.lastBusy = r.eng.Now()
@@ -182,33 +202,46 @@ func (r *FlowResource) Start(f *Flow) {
 	r.reallocate()
 }
 
-// advance charges elapsed time against every active flow at its current
-// rate.
+// advance charges the time since the last advance against every active
+// flow at its current rate. A flow started since then has rate 0, so it
+// is charged nothing — the same as measuring its own zero elapsed time.
 func (r *FlowResource) advance() {
-	now := r.eng.Now()
-	for _, f := range r.flows {
-		dt := (now - f.last).Seconds()
-		if dt > 0 {
-			f.remaining -= f.rate * dt
-			if f.remaining < 0 {
-				f.remaining = 0
-			}
-			r.stats.UtilSeconds += f.rate * dt / float64(f.FullRate)
+	if dt := r.sinceLast(); dt > 0 {
+		for _, f := range r.flows {
+			r.charge(f, dt)
 		}
-		f.last = now
 	}
+}
+
+// sinceLast returns the seconds elapsed since the flows were last
+// advanced and moves that mark to now.
+func (r *FlowResource) sinceLast() float64 {
+	now := r.eng.Now()
+	if now == r.last {
+		return 0
+	}
+	dt := (now - r.last).Seconds()
+	r.last = now
+	return dt
+}
+
+// charge moves one flow dt seconds forward at its current rate.
+func (r *FlowResource) charge(f *Flow, dt float64) {
+	f.remaining -= f.rate * dt
+	if f.remaining < 0 {
+		f.remaining = 0
+	}
+	r.stats.UtilSeconds += f.rate * dt / float64(f.FullRate)
 }
 
 // reallocate recomputes the water-filling allocation and schedules the
 // next completion event.
 func (r *FlowResource) reallocate() {
 	r.advance()
+	r.reallocs++
 	n := len(r.flows)
-	if r.timerSet {
-		r.timer.Cancel()
-		r.timerSet = false
-	}
 	if n == 0 {
+		r.timer.Cancel()
 		return
 	}
 
@@ -218,24 +251,22 @@ func (r *FlowResource) reallocate() {
 	// its coupled compute rate; only the I/O part occupies the device,
 	// so its maximum useful utilisation is r_solo / FullRate. The active
 	// flows are kept sorted by that max (r.sorted), so filling is one
-	// pass with no per-event sort or scratch allocation.
+	// pass with no per-event sort or scratch allocation. The same pass
+	// finds the earliest completion (a minimum, so visiting flows in
+	// demand rather than arrival order cannot change it).
 	remainU := 1.0
+	minT := math.Inf(1)
 	for i, f := range r.sorted {
-		share := remainU / float64(n-i)
-		u := math.Min(f.umax, share)
+		u := remainU / float64(n-i)
+		if f.umax < u {
+			u = f.umax
+		}
 		f.rate = u * float64(f.FullRate)
 		remainU -= u
-	}
-
-	// Schedule completion of the earliest-finishing flow.
-	minT := math.Inf(1)
-	for _, f := range r.flows {
-		if f.rate <= 0 {
-			continue
-		}
-		t := f.remaining / f.rate
-		if t < minT {
-			minT = t
+		if f.rate > 0 {
+			if t := f.remaining / f.rate; t < minT {
+				minT = t
+			}
 		}
 	}
 	if math.IsInf(minT, 1) {
@@ -243,9 +274,13 @@ func (r *FlowResource) reallocate() {
 	}
 	// Round up by one tick: the engine clock has nanosecond resolution,
 	// and undershooting would leave sub-nanosecond residues that can
-	// never drain (advance() would see dt = 0 forever).
-	r.timer = r.eng.After(units.SecDuration(minT)+time.Nanosecond, r.finishReady)
-	r.timerSet = true
+	// never drain (advance() would see dt = 0 forever). The clamp is
+	// Engine.After's: SecDuration saturates, so the sum can wrap.
+	d := units.SecDuration(minT) + time.Nanosecond
+	if d < 0 {
+		d = 0
+	}
+	r.eng.Reschedule(&r.timer, r.eng.Now()+d, r.finishF)
 }
 
 // insertSorted places a newly started flow into the demand order:
@@ -264,47 +299,44 @@ func (r *FlowResource) insertSorted(f *Flow) {
 	r.sorted = append(r.sorted, nil)
 	copy(r.sorted[lo+1:], r.sorted[lo:])
 	r.sorted[lo] = f
-	for i := lo; i < len(r.sorted); i++ {
-		r.sorted[i].idx = i
-	}
-}
-
-// removeSorted drops a completed flow from the demand order, preserving
-// the relative order of the survivors.
-func (r *FlowResource) removeSorted(f *Flow) {
-	i := f.idx
-	copy(r.sorted[i:], r.sorted[i+1:])
-	r.sorted[len(r.sorted)-1] = nil
-	r.sorted = r.sorted[:len(r.sorted)-1]
-	for ; i < len(r.sorted); i++ {
-		r.sorted[i].idx = i
-	}
-	f.idx = -1
 }
 
 // finishReady completes every flow whose remaining volume has drained.
 func (r *FlowResource) finishReady() {
-	r.timerSet = false
-	r.advance()
+	// advance, fused into the completion scan: one pass over the flows
+	// in arrival order, charging each before testing its residue.
+	dt := r.sinceLast()
 	done := r.doneScratch[:0]
 	kept := r.flows[:0]
 	for _, f := range r.flows {
+		if dt > 0 {
+			r.charge(f, dt)
+		}
 		// A flow is complete when its residue is below an absolute floor
 		// or below what one engine clock tick can move — anything smaller
 		// can never drain and would spin the event loop.
 		eps := 1e-6 + f.rate*2e-9
 		if f.remaining <= eps {
+			f.done = true
 			done = append(done, f)
 		} else {
 			kept = append(kept, f)
 		}
 	}
 	r.flows = kept
+	// Drop the completed flows from the demand order in one pass,
+	// keeping the survivors' relative order.
+	sorted := r.sorted[:0]
+	for _, f := range r.sorted {
+		if !f.done {
+			sorted = append(sorted, f)
+		}
+	}
+	clear(r.sorted[len(sorted):])
+	r.sorted = sorted
 	now := r.eng.Now()
 	for _, f := range done {
-		f.done = true
 		f.res = nil
-		r.removeSorted(f)
 		r.stats.Flows++
 		r.stats.Bytes += f.Bytes
 		r.stats.WeightedBytes += float64(f.Bytes)

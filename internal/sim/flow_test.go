@@ -363,9 +363,9 @@ func TestDemandSetOrderMaintained(t *testing.T) {
 			if r.sorted[j-1].umax > r.sorted[j].umax {
 				t.Fatalf("after start %d: demand set out of order", i)
 			}
-			if r.sorted[j].idx != j || r.sorted[j-1].idx != j-1 {
-				t.Fatalf("after start %d: stale sorted indices", i)
-			}
+		}
+		if len(r.sorted) != r.Active() {
+			t.Fatalf("after start %d: demand set holds %d flows, %d active", i, len(r.sorted), r.Active())
 		}
 	}
 	e.Run()
@@ -408,4 +408,52 @@ func close2(got, want, tol float64) bool {
 		d = -d
 	}
 	return d <= tol*want
+}
+
+// TestRestartedFlowMatchesFresh re-Starts a completed Flow struct in
+// place, a second after it finished, next to a long-running competitor,
+// and checks every completion instant against the same schedule run
+// with a fresh struct per start. The resource advances all its flows
+// by one shared dt, so a re-Started flow must enter at rate 0 (and not
+// done) — a stale rate would be charged for the idle second and finish
+// the flow early.
+func TestRestartedFlowMatchesFresh(t *testing.T) {
+	run := func(reuse bool) []time.Duration {
+		e := NewEngine()
+		r := NewFlowResource(e, "disk")
+		var ends []time.Duration
+		bg := &Flow{Name: "bg", Bytes: 400 * units.MB, FullRate: units.MBps(100),
+			OnComplete: func() { ends = append(ends, e.Now()) }}
+		r.Start(bg)
+		f := &Flow{}
+		var start func()
+		start = func() {
+			if !reuse {
+				f = &Flow{}
+			}
+			f.Name, f.Bytes, f.FullRate, f.Cap = "f", 30*units.MB, units.MBps(100), units.MBps(60)
+			f.OnComplete = func() {
+				ends = append(ends, e.Now())
+				if len(ends) < 3 {
+					e.After(time.Second, start)
+				}
+			}
+			r.Start(f)
+			if f.Done() || f.Rate() <= 0 {
+				t.Fatalf("restarted flow: done=%v rate=%v", f.Done(), f.Rate())
+			}
+		}
+		start()
+		e.Run()
+		return ends
+	}
+	fresh, reused := run(false), run(true)
+	if len(fresh) != 4 || len(reused) != 4 {
+		t.Fatalf("completions: fresh %v, reused %v", fresh, reused)
+	}
+	for i := range fresh {
+		if fresh[i] != reused[i] {
+			t.Fatalf("completion %d: reused struct at %v, fresh struct at %v", i, reused[i], fresh[i])
+		}
+	}
 }

@@ -239,8 +239,7 @@ func (r *runner) maybeSpeculate(st *stageState) {
 		if r.partial && !r.dirtyReal[tid] {
 			r.bail()
 		}
-		task, gi, idx := a.task, a.gi, a.taskIdx
-		other.cores.Acquire(func() { r.dispatch(st, task, other, gi, idx+specCopyIdxOffset, 1, true) })
+		r.enqueue(other, dispatchRec{st: st, task: a.task, gi: a.gi, taskIdx: a.taskIdx + specCopyIdxOffset, mult: 1, speculative: true})
 	}
 	r.cands = cands[:0]
 }
@@ -394,7 +393,7 @@ func (r *runner) retryTask(st *stageState, task *taskState, fromID, gi int, g Ta
 		if r.partial && !r.dirtyReal[tid] {
 			r.bail()
 		}
-		target.cores.Acquire(func() { r.dispatch(st, task, target, gi, taskIdx, 1, false) })
+		r.enqueue(target, dispatchRec{st: st, task: task, gi: gi, taskIdx: taskIdx, mult: 1})
 	})
 }
 

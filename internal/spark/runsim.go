@@ -2,6 +2,7 @@ package spark
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -99,6 +100,40 @@ type node struct {
 	// node.
 	resident units.ByteSize
 	gcUntil  time.Duration
+	// pending holds the dispatches waiting on this node's cores, in
+	// Acquire order; dispatchF, bound once per node, is what the core
+	// pool runs for each of them (see runner.enqueue).
+	pending   dispatchQueue
+	dispatchF func()
+}
+
+// dispatchRec is the argument list of one queued runner.dispatch call.
+type dispatchRec struct {
+	st          *stageState
+	task        *taskState
+	gi, taskIdx int
+	mult        int
+	speculative bool
+}
+
+// dispatchQueue is a FIFO of dispatch records. launchStage reserves a
+// stage's records up front and the backing array is rewound whenever
+// the queue drains, so steady-state queueing allocates nothing.
+type dispatchQueue struct {
+	recs []dispatchRec
+	head int
+}
+
+func (q *dispatchQueue) push(d dispatchRec) { q.recs = append(q.recs, d) }
+
+func (q *dispatchQueue) pop() dispatchRec {
+	d := q.recs[q.head]
+	q.recs[q.head] = dispatchRec{}
+	q.head++
+	if q.head == len(q.recs) {
+		q.recs, q.head = q.recs[:0], 0
+	}
+	return d
 }
 
 // numOpKinds sizes the fixed per-stage accounting arrays.
@@ -334,6 +369,10 @@ func newRunner(cfg ClusterConfig, app App, forcePerTask bool) *runner {
 			cores: sim.NewCorePool(eng, cfg.ExecutorCores),
 			hdfs:  sim.NewFlowResource(eng, fmt.Sprintf("node%d/hdfs", id)),
 			local: sim.NewFlowResource(eng, fmt.Sprintf("node%d/local", id)),
+		}
+		n.dispatchF = func() {
+			d := n.pending.pop()
+			r.dispatch(d.st, d.task, n, d.gi, d.taskIdx, d.mult, d.speculative)
 		}
 		if cfg.ModelNetwork {
 			n.nic = sim.NewFlowResource(eng, fmt.Sprintf("node%d/nic", id))
@@ -619,6 +658,11 @@ func (r *runner) launchStage(st *stageState, barrier time.Duration) {
 		dispatched = per * len(r.ns) // dirty nodes + the representative
 	}
 	st.tasks = make([]taskState, dispatched)
+	// Reserve every node's share of the dispatch records in one step.
+	perNode := (dispatched + len(r.ns) - 1) / len(r.ns)
+	for _, nd := range r.ns {
+		nd.pending.recs = slices.Grow(nd.pending.recs, perNode)
+	}
 	ti := 0
 	taskIdx := 0
 	for gi, g := range stage.Groups {
@@ -657,11 +701,19 @@ func (r *runner) launchStage(st *stageState, barrier time.Duration) {
 				}
 				nd = target
 			}
-			task := &st.tasks[ti]
+			r.enqueue(nd, dispatchRec{st: st, task: &st.tasks[ti], gi: gi, taskIdx: idx, mult: mult})
 			ti++
-			nd.cores.Acquire(func() { r.dispatch(st, task, nd, gi, idx, mult, false) })
 		}
 	}
+}
+
+// enqueue queues a dispatch for a core on nd. The core pool runs its
+// waiters in Acquire order, so the k-th nd.dispatchF call pops the k-th
+// record pushed here: each dispatch fires on the same engine event a
+// per-call closure would, without allocating one.
+func (r *runner) enqueue(nd *node, d dispatchRec) {
+	nd.pending.push(d)
+	nd.cores.Acquire(nd.dispatchF)
 }
 
 // dispatch runs when a core frees up for a queued task attempt: it
@@ -688,7 +740,7 @@ func (r *runner) dispatch(st *stageState, task *taskState, nd *node, gi, taskIdx
 			if r.partial && !r.dirtyReal[tid] {
 				r.bail()
 			}
-			target.cores.Acquire(func() { r.dispatch(st, task, target, gi, taskIdx, mult, speculative) })
+			r.enqueue(target, dispatchRec{st: st, task: task, gi: gi, taskIdx: taskIdx, mult: mult, speculative: speculative})
 			return
 		}
 	}

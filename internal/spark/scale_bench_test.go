@@ -9,6 +9,7 @@ package spark
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -62,6 +63,7 @@ func benchSimScale(b *testing.B, disableCoalescing bool) {
 	cfg.DisableCoalescing = disableCoalescing
 	app := scaleApp(scaleSlaves, scaleCores)
 	b.ReportAllocs()
+	mallocs := mallocCount()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := Run(cfg, app)
@@ -72,6 +74,46 @@ func benchSimScale(b *testing.B, disableCoalescing bool) {
 			b.Fatalf("map stage ran %d tasks", res.Stages[0].Tasks)
 		}
 	}
+	if disableCoalescing {
+		reportPerTaskLayers(b, cfg, app, mallocs)
+	}
+}
+
+// mallocCount returns the process's cumulative heap allocation count.
+func mallocCount() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// reportPerTaskLayers adds the per-layer counters of a per-task
+// benchmark to its output: engine events and water-filling passes per
+// run (counted on one extra, untimed run — the simulation is
+// deterministic), and heap allocations per simulated task over the
+// timed loop, which began at the cumulative count mallocs0. benchgate
+// ignores these columns; they say which layer an ns/op change came
+// from.
+func reportPerTaskLayers(b *testing.B, cfg ClusterConfig, app App, mallocs0 uint64) {
+	b.StopTimer()
+	mallocs := mallocCount() - mallocs0
+	r := newRunner(cfg, app, true)
+	if _, err := r.run(); err != nil {
+		b.Fatal(err)
+	}
+	var reallocs uint64
+	for _, n := range r.ns {
+		reallocs += n.hdfs.Reallocations() + n.local.Reallocations()
+		if n.nic != nil {
+			reallocs += n.nic.Reallocations()
+		}
+	}
+	tasks := 0
+	for _, s := range app.Stages {
+		tasks += s.Tasks()
+	}
+	b.ReportMetric(float64(r.eng.Steps()), "events/op")
+	b.ReportMetric(float64(reallocs), "reallocs/op")
+	b.ReportMetric(float64(mallocs)/float64(b.N)/float64(tasks), "allocs/task")
 }
 
 // BenchmarkSimScale is the headline scale benchmark (coalesced path).
@@ -90,12 +132,14 @@ func BenchmarkSimMedium(b *testing.B) {
 	cfg := DefaultTestbed(8, 8, ssd, ssd) // default jitter 0.15
 	app := scaleAppSized(8, 8, 6400)
 	b.ReportAllocs()
+	mallocs := mallocCount()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(cfg, app); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportPerTaskLayers(b, cfg, app, mallocs)
 }
 
 // scaleAppSized is scaleApp with an explicit map-task count.
