@@ -47,7 +47,7 @@ func (e Env) platform() Platform {
 }
 
 // checkShape validates a cluster shape with the same errors
-// Platform.Validate reports, so the compiled path and the classic path
+// Platform.Validate reports, so a CompiledModel and AppModel.Predict
 // fail identically.
 func checkShape(n, p int) error {
 	switch {
@@ -68,7 +68,7 @@ type Shape struct {
 // compiledGroup is the per-group input of the t_scale term. count is
 // stored pre-converted so the hot loop does no int-to-float work, but
 // the arithmetic — count/(N·P)·t_g, summed in group order — is exactly
-// the expression StageModel.Predict evaluates.
+// Eq. 1's t_scale expression (see the test oracle refStagePredict).
 type compiledGroup struct {
 	count float64 // float64(GroupModel.Count)
 	tgSec float64 // GroupModel.TaskTime(env, mode) in seconds
@@ -83,8 +83,8 @@ type compiledStage struct {
 	name   string
 	groups []compiledGroup
 	// readSec/writeSec are Σ D_op/BW_op device-seconds per (device,
-	// direction) path, accumulated in the same (group, op) order as
-	// StageModel.Predict. Index 0 is the Spark Local device, 1 is HDFS.
+	// direction) path, accumulated in (group, op) order. Index 0 is the
+	// Spark Local device, 1 is HDFS.
 	readSec  [2]float64
 	writeSec [2]float64
 	// tAvg is the count-weighted average task time (shape-independent).
@@ -100,9 +100,9 @@ type compiledStage struct {
 // prediction methods allocate nothing (PredictBatch is the zero-alloc
 // steady-state API).
 //
-// Predictions are byte-identical to AppModel.Predict on a Platform with
-// the same environment: the compiled form preserves the exact
-// floating-point expression order of the classic path.
+// It is the package's only evaluator of Eq. 1: AppModel.Predict and
+// StageModel.Predict compile and evaluate through it, and the tests hold
+// it byte-identical to the reference walk refStagePredict.
 type CompiledModel struct {
 	app    string
 	mode   Mode
@@ -154,15 +154,10 @@ func compile(a AppModel, env Env, mode Mode) *CompiledModel {
 		if total > 0 {
 			cs.tAvg = units.SecDuration(weighted / float64(total))
 		}
-		// Per-path D/BW sums, same op walk as StageModel.Predict.
+		// Per-path D/BW sums in (group, op) order.
 		for _, g := range s.Groups {
 			for _, op := range g.Ops {
-				bw := effBW(op, pl, mode)
-				if bw <= 0 || op.BytesPerTask <= 0 {
-					continue
-				}
-				vol := units.ByteSize(int64(g.Count)) * opVolume(op, pl)
-				sec := float64(vol) / float64(bw)
+				sec := deviceSeconds(op, g.Count, pl, mode)
 				d := deviceIdx(op.Kind)
 				if op.Kind.IsRead() {
 					cs.readSec[d] += sec
@@ -190,8 +185,10 @@ type stageIOTerms struct {
 	read, write, dev time.Duration
 }
 
-// ioTerms evaluates the three I/O limit terms of Eq. 1, mirroring
-// StageModel.Predict operation for operation.
+// ioTerms evaluates the three I/O limit terms of Eq. 1: independent
+// devices serve their loads in parallel, so directional limits take the
+// binding device, and a device serving both directions must fit their
+// sum.
 func (cs *compiledStage) ioTerms(n int) stageIOTerms {
 	var io stageIOTerms
 	nf := float64(n)
@@ -220,8 +217,8 @@ func (cs *compiledStage) ioTerms(n int) stageIOTerms {
 	return io
 }
 
-// scale evaluates t_scale: Σ_g Count_g/(N·P)·t_avg_g + δ_scale, with
-// the per-group expression order of StageModel.Predict.
+// scale evaluates t_scale: Σ_g Count_g/(N·P)·t_avg_g + δ_scale, summed
+// in group order.
 func (cs *compiledStage) scale(n, p int) time.Duration {
 	var scaleSec float64
 	np := float64(n * p)
@@ -231,30 +228,10 @@ func (cs *compiledStage) scale(n, p int) time.Duration {
 	return units.SecDuration(scaleSec) + cs.deltaScale
 }
 
-// timeWith combines precomputed I/O terms with the shape's scaling term
-// into the stage time, applying the mode's overlap rule.
-func (cs *compiledStage) timeWith(io stageIOTerms, n, p int, mode Mode) time.Duration {
-	ts := cs.scale(n, p)
-	if mode == ModeNoOverlap {
-		return ts + io.read + io.write
-	}
-	t := ts
-	if io.read > t {
-		t = io.read
-	}
-	if io.write > t {
-		t = io.write
-	}
-	if io.dev > t {
-		t = io.dev
-	}
-	return t
-}
-
 // memLimit evaluates one stage's t_mem_limit for a shape without
 // allocating; zero when the environment's memory model is off. The
-// per-group expressions are memEnv.groupTerms, shared with
-// StageModel.Predict for byte-identity.
+// per-group expressions are memEnv.groupTerms, summed in group
+// order.
 func (c *CompiledModel) memLimit(cs *compiledStage, n, p int) time.Duration {
 	if !c.memOn {
 		return 0
@@ -269,40 +246,46 @@ func (c *CompiledModel) memLimit(cs *compiledStage, n, p int) time.Duration {
 	return units.SecDuration(maxf(memScale, memDev))
 }
 
-// evalStage evaluates Eq. 1 for one compiled stage, byte-identical to
-// StageModel.Predict, without allocating.
+// evalStage evaluates Eq. 1 for one compiled stage without allocating;
+// every stage prediction in the package goes through it.
 func (c *CompiledModel) evalStage(cs *compiledStage, n, p int) StagePrediction {
 	pred := StagePrediction{Name: cs.name, TAvg: cs.tAvg}
 	pred.TScale = cs.scale(n, p)
 	io := cs.ioTerms(n)
 	pred.TReadLimit, pred.TWriteLimit, pred.TDeviceLimit = io.read, io.write, io.dev
 	pred.TMemLimit = c.memLimit(cs, n, p)
-
-	if c.mode == ModeNoOverlap {
-		pred.T = pred.TScale + pred.TReadLimit + pred.TWriteLimit + pred.TMemLimit
-		pred.Bottleneck = "sum"
-		return pred
-	}
-
-	pred.T = pred.TScale
-	pred.Bottleneck = "scale"
-	if pred.TReadLimit > pred.T {
-		pred.T = pred.TReadLimit
-		pred.Bottleneck = "read"
-	}
-	if pred.TWriteLimit > pred.T {
-		pred.T = pred.TWriteLimit
-		pred.Bottleneck = "write"
-	}
-	if pred.TDeviceLimit > pred.T {
-		pred.T = pred.TDeviceLimit
-		pred.Bottleneck = "device"
-	}
-	if pred.TMemLimit > 0 && pred.TMemLimit > pred.T {
-		pred.Bottleneck = "memory"
-	}
-	pred.T += pred.TMemLimit
+	pred.bind(c.mode, pred.TMemLimit)
 	return pred
+}
+
+// bind sets T and Bottleneck from the candidate terms already in p plus
+// the additive memory term mem: under overlap the largest candidate
+// binds ("scale", "read", "write" or "device"; "memory" when mem exceeds
+// them all), under ModeNoOverlap the candidates add up ("sum").
+func (p *StagePrediction) bind(mode Mode, mem time.Duration) {
+	if mode == ModeNoOverlap {
+		p.T = p.TScale + p.TReadLimit + p.TWriteLimit + mem
+		p.Bottleneck = "sum"
+		return
+	}
+	p.T = p.TScale
+	p.Bottleneck = "scale"
+	if p.TReadLimit > p.T {
+		p.T = p.TReadLimit
+		p.Bottleneck = "read"
+	}
+	if p.TWriteLimit > p.T {
+		p.T = p.TWriteLimit
+		p.Bottleneck = "write"
+	}
+	if p.TDeviceLimit > p.T {
+		p.T = p.TDeviceLimit
+		p.Bottleneck = "device"
+	}
+	if mem > 0 && mem > p.T {
+		p.Bottleneck = "memory"
+	}
+	p.T += mem
 }
 
 // Predict evaluates the compiled model for one cluster shape, returning

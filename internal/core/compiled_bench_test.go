@@ -44,9 +44,10 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictClassic is the pre-compilation path for comparison:
-// one full AppModel.Predict per point, re-deriving per-stage state each
-// time (what the optimizer paid per grid point before the fast path).
+// BenchmarkPredictClassic is the one-shot path for comparison: one full
+// AppModel.Predict per point, which compiles the model and evaluates it
+// once, re-deriving per-stage state each time (what a caller pays per
+// point without reusing a CompiledModel).
 func BenchmarkPredictClassic(b *testing.B) {
 	app := testApp()
 	env := testEnv()

@@ -102,9 +102,11 @@ func fuzzModel(r *rand.Rand) (AppModel, Env) {
 	return app, env
 }
 
-// FuzzCompiledPredict holds the compiled fast path and the classic
-// per-stage path byte-identical on randomized models, environments,
-// shapes and modes. Seeds live in testdata/fuzz/FuzzCompiledPredict.
+// FuzzCompiledPredict holds the compiled model — through AppModel.Predict,
+// StageModel.Predict, PredictBatch and PredictFaulty's fault-free base —
+// byte-identical to the reference walk refStagePredict on randomized
+// models, environments, shapes and modes. Seeds live in
+// testdata/fuzz/FuzzCompiledPredict.
 func FuzzCompiledPredict(f *testing.F) {
 	f.Add(uint64(1), 3, 8, 0)
 	f.Add(uint64(42), 10, 36, 1)
@@ -143,6 +145,39 @@ func FuzzCompiledPredict(f *testing.F) {
 		if batch[0] != want.Total {
 			t.Fatalf("seed %d shape (%d,%d) mode %v: batch total %v != %v",
 				seed, n, p, m, batch[0], want.Total)
+		}
+
+		// The per-stage wrapper calibration and fig6 use.
+		for i, s := range app.Stages {
+			if sp := s.Predict(pl, m); !reflect.DeepEqual(sp, want.Stages[i]) {
+				t.Fatalf("seed %d shape (%d,%d) mode %v: StageModel.Predict(%s) diverges\n got %+v\nwant %+v",
+					seed, n, p, m, s.Name, sp, want.Stages[i])
+			}
+		}
+
+		// With faults on, every stage's Base is the fault-free stage time.
+		fp := FaultParams{
+			TaskFailureProb:         0.9 * r.Float64(),
+			ShuffleFetchFailureProb: 0.9 * r.Float64(),
+			MaxTaskFailures:         r.Intn(6),
+			RetryBackoff:            time.Duration(r.Int63n(int64(5 * time.Second))),
+		}
+		if !fp.Enabled() {
+			fp.TaskFailureProb = 0.5
+		}
+		faulty, err := app.PredictFaulty(pl, m, fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if faulty.Base != got.Total {
+			t.Fatalf("seed %d shape (%d,%d) mode %v: PredictFaulty base %v != %v",
+				seed, n, p, m, faulty.Base, got.Total)
+		}
+		for i, fs := range faulty.Stages {
+			if fs.Base != got.Stages[i].T {
+				t.Fatalf("seed %d shape (%d,%d) mode %v: PredictFaulty stage %s base %v != %v",
+					seed, n, p, m, fs.Name, fs.Base, got.Stages[i].T)
+			}
 		}
 	})
 }

@@ -10,17 +10,127 @@ import (
 	"repro/internal/units"
 )
 
-// refPredict is the pre-compilation prediction path — a direct loop
-// over StageModel.Predict, which the compiled path must reproduce
+// refPredict is the reference application prediction — a direct loop
+// over refStagePredict, which the compiled model must reproduce
 // byte-for-byte.
 func refPredict(a AppModel, pl Platform, mode Mode) AppPrediction {
 	out := AppPrediction{App: a.Name}
 	for _, s := range a.Stages {
-		sp := s.Predict(pl, mode)
+		sp := refStagePredict(s, pl, mode)
 		out.Stages = append(out.Stages, sp)
 		out.Total += sp.T
 	}
 	return out
+}
+
+// refStagePredict is the test oracle for Eq. 1: a direct walk over the
+// stage's groups and ops on the platform, written independently of the
+// compiled model's flattening, batching and binding-term helper.
+func refStagePredict(s StageModel, pl Platform, mode Mode) StagePrediction {
+	pred := StagePrediction{Name: s.Name}
+
+	// t_scale: Σ_g Count_g/(N·P) · t_avg_g + δ_scale.
+	var scaleSec float64
+	var weighted float64
+	total := 0
+	for _, g := range s.Groups {
+		tg := g.TaskTime(pl, mode).Seconds()
+		scaleSec += float64(g.Count) / float64(pl.N*pl.P) * tg
+		weighted += float64(g.Count) * tg
+		total += g.Count
+	}
+	if total > 0 {
+		pred.TAvg = units.SecDuration(weighted / float64(total))
+	}
+	pred.TScale = units.SecDuration(scaleSec) + s.DeltaScale
+
+	// I/O limit terms: Σ D/BW per (device, direction); independent
+	// devices serve their loads in parallel, so directional limits take
+	// the binding device, and a device serving both directions must fit
+	// their sum. Index 0 is the Spark Local device, 1 is HDFS.
+	var agg struct {
+		readSec  [2]float64 // Σ D_op / BW_op, device-seconds across nodes
+		writeSec [2]float64
+	}
+	for _, g := range s.Groups {
+		for _, op := range g.Ops {
+			bw := effBW(op, pl, mode)
+			if bw <= 0 || op.BytesPerTask <= 0 {
+				continue
+			}
+			vol := units.ByteSize(int64(g.Count)) * opVolume(op, pl)
+			sec := float64(vol) / float64(bw)
+			d := deviceIdx(op.Kind)
+			if op.Kind.IsRead() {
+				agg.readSec[d] += sec
+			} else {
+				agg.writeSec[d] += sec
+			}
+		}
+	}
+	n := float64(pl.N)
+	if r := maxf(agg.readSec[0], agg.readSec[1]); r > 0 {
+		pred.TReadLimit = units.SecDuration(r/n) + s.DeltaRead
+	}
+	if w := maxf(agg.writeSec[0], agg.writeSec[1]); w > 0 {
+		pred.TWriteLimit = units.SecDuration(w/n) + s.DeltaWrite
+	}
+	for d := 0; d < 2; d++ {
+		combined := agg.readSec[d] + agg.writeSec[d]
+		if combined <= 0 {
+			continue
+		}
+		lim := units.SecDuration(combined / n)
+		if agg.readSec[d] > 0 {
+			lim += s.DeltaRead
+		}
+		if agg.writeSec[d] > 0 {
+			lim += s.DeltaWrite
+		}
+		if lim > pred.TDeviceLimit {
+			pred.TDeviceLimit = lim
+		}
+	}
+
+	// t_mem_limit: heap-overflow spill through the Local device plus
+	// expected GC stalls, through the same per-group expressions
+	// (memEnv.groupTerms) the compiled model uses.
+	if me, on := pl.Memory.resolve(pl.Curves); on {
+		nf, pf := float64(pl.N), float64(pl.P)
+		var memScale, memDev float64
+		for _, g := range s.Groups {
+			a, b := me.groupTerms(float64(g.Count), me.groupWS(g), nf, pf)
+			memScale += a
+			memDev += b
+		}
+		pred.TMemLimit = units.SecDuration(maxf(memScale, memDev))
+	}
+
+	if mode == ModeNoOverlap {
+		pred.T = pred.TScale + pred.TReadLimit + pred.TWriteLimit + pred.TMemLimit
+		pred.Bottleneck = "sum"
+		return pred
+	}
+
+	pred.T = pred.TScale
+	pred.Bottleneck = "scale"
+	if pred.TReadLimit > pred.T {
+		pred.T = pred.TReadLimit
+		pred.Bottleneck = "read"
+	}
+	if pred.TWriteLimit > pred.T {
+		pred.T = pred.TWriteLimit
+		pred.Bottleneck = "write"
+	}
+	if pred.TDeviceLimit > pred.T {
+		pred.T = pred.TDeviceLimit
+		pred.Bottleneck = "device"
+	}
+	if pred.TMemLimit > 0 && pred.TMemLimit > pred.T {
+		pred.Bottleneck = "memory"
+	}
+	pred.T += pred.TMemLimit
+	return pred
 }
 
 // steppedCurve is a non-flat bandwidth curve so the compiled path is
@@ -221,7 +331,7 @@ func TestTopBottleneckMatchesCensus(t *testing.T) {
 		counts := map[string]int{}
 		top := ""
 		for _, s := range app.Stages {
-			st := s.Predict(pl, ModeDoppio)
+			st := refStagePredict(s, pl, ModeDoppio)
 			counts[st.Bottleneck]++
 			if top == "" || counts[st.Bottleneck] > counts[top] {
 				top = st.Bottleneck

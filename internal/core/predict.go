@@ -165,13 +165,6 @@ func (g GroupModel) TaskTime(pl Platform, mode Mode) time.Duration {
 	return t
 }
 
-// pathAgg accumulates the D/BW sums per (device, direction) path.
-// Index 0 is the Spark Local device, 1 is HDFS.
-type pathAgg struct {
-	readSec  [2]float64 // Σ D_op / BW_op, device-seconds across nodes
-	writeSec [2]float64
-}
-
 func deviceIdx(kind spark.OpKind) int {
 	if kind.OnLocal() {
 		return 0
@@ -186,117 +179,28 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// Predict evaluates Eq. 1 for the stage on the platform.
+// deviceSeconds is the D/BW load count tasks of op put on its device:
+// the device-level volume over the op's effective bandwidth. It is zero
+// when the op moves no bytes or its curve offers no bandwidth.
+func deviceSeconds(op OpModel, count int, pl Platform, mode Mode) float64 {
+	bw := effBW(op, pl, mode)
+	if bw <= 0 || op.BytesPerTask <= 0 {
+		return 0
+	}
+	vol := units.ByteSize(int64(count)) * opVolume(op, pl)
+	return float64(vol) / float64(bw)
+}
+
+// Predict evaluates Eq. 1 for the stage on the platform by compiling
+// the one stage against the platform's environment.
 func (s StageModel) Predict(pl Platform, mode Mode) StagePrediction {
-	pred := StagePrediction{Name: s.Name}
-
-	// t_scale: Σ_g Count_g/(N·P) · t_avg_g + δ_scale.
-	var scaleSec float64
-	var weighted float64
-	total := 0
-	for _, g := range s.Groups {
-		tg := g.TaskTime(pl, mode).Seconds()
-		scaleSec += float64(g.Count) / float64(pl.N*pl.P) * tg
-		weighted += float64(g.Count) * tg
-		total += g.Count
-	}
-	if total > 0 {
-		pred.TAvg = units.SecDuration(weighted / float64(total))
-	}
-	pred.TScale = units.SecDuration(scaleSec) + s.DeltaScale
-
-	// I/O limit terms: Σ D/BW per (device, direction); independent
-	// devices serve their loads in parallel, so directional limits take
-	// the binding device, and a device serving both directions must fit
-	// their sum.
-	var agg pathAgg
-	for _, g := range s.Groups {
-		for _, op := range g.Ops {
-			bw := effBW(op, pl, mode)
-			if bw <= 0 || op.BytesPerTask <= 0 {
-				continue
-			}
-			vol := units.ByteSize(int64(g.Count)) * opVolume(op, pl)
-			sec := float64(vol) / float64(bw)
-			d := deviceIdx(op.Kind)
-			if op.Kind.IsRead() {
-				agg.readSec[d] += sec
-			} else {
-				agg.writeSec[d] += sec
-			}
-		}
-	}
-	n := float64(pl.N)
-	if r := maxf(agg.readSec[0], agg.readSec[1]); r > 0 {
-		pred.TReadLimit = units.SecDuration(r/n) + s.DeltaRead
-	}
-	if w := maxf(agg.writeSec[0], agg.writeSec[1]); w > 0 {
-		pred.TWriteLimit = units.SecDuration(w/n) + s.DeltaWrite
-	}
-	for d := 0; d < 2; d++ {
-		combined := agg.readSec[d] + agg.writeSec[d]
-		if combined <= 0 {
-			continue
-		}
-		lim := units.SecDuration(combined / n)
-		if agg.readSec[d] > 0 {
-			lim += s.DeltaRead
-		}
-		if agg.writeSec[d] > 0 {
-			lim += s.DeltaWrite
-		}
-		if lim > pred.TDeviceLimit {
-			pred.TDeviceLimit = lim
-		}
-	}
-
-	// t_mem_limit: heap-overflow spill through the Local device plus
-	// expected GC stalls. The same per-group expressions as the compiled
-	// path (memEnv.groupTerms), so classic and compiled stay
-	// byte-identical.
-	if me, on := pl.Memory.resolve(pl.Curves); on {
-		nf, pf := float64(pl.N), float64(pl.P)
-		var memScale, memDev float64
-		for _, g := range s.Groups {
-			a, b := me.groupTerms(float64(g.Count), me.groupWS(g), nf, pf)
-			memScale += a
-			memDev += b
-		}
-		pred.TMemLimit = units.SecDuration(maxf(memScale, memDev))
-	}
-
-	if mode == ModeNoOverlap {
-		pred.T = pred.TScale + pred.TReadLimit + pred.TWriteLimit + pred.TMemLimit
-		pred.Bottleneck = "sum"
-		return pred
-	}
-
-	pred.T = pred.TScale
-	pred.Bottleneck = "scale"
-	if pred.TReadLimit > pred.T {
-		pred.T = pred.TReadLimit
-		pred.Bottleneck = "read"
-	}
-	if pred.TWriteLimit > pred.T {
-		pred.T = pred.TWriteLimit
-		pred.Bottleneck = "write"
-	}
-	if pred.TDeviceLimit > pred.T {
-		pred.T = pred.TDeviceLimit
-		pred.Bottleneck = "device"
-	}
-	if pred.TMemLimit > 0 && pred.TMemLimit > pred.T {
-		pred.Bottleneck = "memory"
-	}
-	pred.T += pred.TMemLimit
-	return pred
+	cm := compile(AppModel{Stages: []StageModel{s}}, EnvOf(pl), mode)
+	return cm.evalStage(&cm.stages[0], pl.N, pl.P)
 }
 
 // Predict evaluates the whole application: t_app = Σ t_stage. It is a
-// thin wrapper over the compiled fast path — compile against the
-// platform's environment, evaluate at (N, P) — and returns results
-// byte-identical to evaluating StageModel.Predict per stage (the fuzz
-// target FuzzCompiledPredict holds the two paths together).
+// thin wrapper over the compiled model — compile against the
+// platform's environment, evaluate at (N, P).
 func (a AppModel) Predict(pl Platform, mode Mode) (AppPrediction, error) {
 	if err := a.Validate(); err != nil {
 		return AppPrediction{}, err
