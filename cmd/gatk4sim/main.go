@@ -13,33 +13,28 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"repro/internal/cloud"
 	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/profile"
+	"repro/internal/scenario"
 	"repro/internal/spark"
 	"repro/internal/units"
 	"repro/internal/workloads"
 )
 
 func main() {
-	slaves := flag.Int("slaves", 3, "worker node count N")
-	cores := flag.Int("cores", 36, "executor cores per node P")
-	hdfs := flag.String("hdfs", "ssd", "HDFS device")
-	local := flag.String("local", "ssd", "Spark Local device")
+	var spec scenario.Spec
+	flag.IntVar(&spec.Slaves, "slaves", 3, "worker node count N")
+	flag.IntVar(&spec.Cores, "cores", scenario.DefaultCores, "executor cores per node P")
+	flag.StringVar(&spec.HDFS, "hdfs", scenario.DefaultDevice, "HDFS device")
+	flag.StringVar(&spec.Local, "local", scenario.DefaultDevice, "Spark Local device")
 	readPairs := flag.Int("readpairs", 500, "input size in millions of read pairs (500 = the paper's genome)")
 	iostat := flag.Bool("iostat", false, "print per-stage iostat report")
 	blocked := flag.Bool("blocked", false, "print blocked-time analysis")
 	predict := flag.Bool("predict", false, "calibrate the Doppio model and compare")
 	flag.Parse()
 
-	hd, err := parseDevice(*hdfs)
-	if err != nil {
-		fatal(err)
-	}
-	ld, err := parseDevice(*local)
+	cfg, err := spec.Config()
 	if err != nil {
 		fatal(err)
 	}
@@ -52,7 +47,6 @@ func main() {
 	params.ShuffleBytes = units.ByteSize(scale * float64(params.ShuffleBytes))
 	params.OutputBAM = units.ByteSize(scale * float64(params.OutputBAM))
 
-	cfg := spark.DefaultTestbed(*slaves, *cores, hd, ld)
 	res, err := spark.Run(cfg, params.Build(cfg))
 	if err != nil {
 		fatal(err)
@@ -77,9 +71,7 @@ func main() {
 	}
 	if *predict {
 		fmt.Println("\n# calibrating Doppio model (4 sample runs)...")
-		ssd, hddProbe := disk.NewSSD(), disk.NewHDD()
-		base := spark.DefaultTestbed(*slaves, 1, ssd, ssd)
-		cal, err := core.Calibrate(base, ssd, hddProbe, params.Build)
+		cal, err := scenario.CalibrateTestbed(spec.Slaves, params.Build)
 		if err != nil {
 			fatal(err)
 		}
@@ -95,30 +87,6 @@ func main() {
 				core.ErrorRate(p.T, s.Duration())*100, p.Bottleneck)
 		}
 	}
-}
-
-func parseDevice(s string) (disk.Device, error) {
-	switch s {
-	case "hdd":
-		return disk.NewHDD(), nil
-	case "ssd":
-		return disk.NewSSD(), nil
-	}
-	name, sizeStr, ok := strings.Cut(s, ":")
-	if !ok {
-		return nil, fmt.Errorf("unknown device %q", s)
-	}
-	size, err := units.ParseByteSize(sizeStr)
-	if err != nil {
-		return nil, err
-	}
-	switch name {
-	case "pd-standard":
-		return cloud.NewDisk(cloud.PDStandard, size), nil
-	case "pd-ssd":
-		return cloud.NewDisk(cloud.PDSSD, size), nil
-	}
-	return nil, fmt.Errorf("unknown device type %q", name)
 }
 
 func fatal(err error) {

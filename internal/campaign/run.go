@@ -9,10 +9,10 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/experiments/sweep"
+	"repro/internal/scenario"
 	"repro/internal/spark"
 	"repro/internal/workloads"
 )
@@ -245,23 +245,16 @@ func EvaluatePoint(ctx context.Context, cfg Config, p Point) (PointResult, error
 	if err != nil {
 		return PointResult{}, err
 	}
-	hdfsDev, err := cloud.ParseDevice(p.Device)
+	ccfg, err := scenario.Spec{
+		Cluster: scenario.Cluster{Slaves: p.Nodes, Cores: p.Cores, HDFS: p.Device, Local: p.Device, HeapGB: p.HeapGB},
+		Seed:    p.Seed,
+		Faults: &scenario.Faults{
+			ShuffleFetchFailureProb: p.FetchFailProb,
+			MaxTaskFailures:         cfg.Base.MaxTaskFailures,
+			Seed:                    p.Seed,
+		},
+	}.Config()
 	if err != nil {
-		return PointResult{}, err
-	}
-	localDev, err := cloud.ParseDevice(p.Device)
-	if err != nil {
-		return PointResult{}, err
-	}
-	ccfg := spark.DefaultTestbed(p.Nodes, p.Cores, hdfsDev, localDev)
-	ccfg.Seed = p.Seed
-	ccfg.Memory = spark.MemoryConfig{HeapGB: p.HeapGB}
-	ccfg.Faults = spark.FaultConfig{
-		ShuffleFetchFailureProb: p.FetchFailProb,
-		MaxTaskFailures:         cfg.Base.MaxTaskFailures,
-		Seed:                    p.Seed,
-	}
-	if err := ccfg.Validate(); err != nil {
 		return PointResult{}, err
 	}
 	sapp := scaleApp(w.Build(ccfg), p.DataScale)

@@ -26,6 +26,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/optimizer"
 	"repro/internal/profile"
+	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/spark"
 	"repro/internal/units"
@@ -268,82 +269,30 @@ func (a *app) cmdWorkloads() error {
 	return nil
 }
 
-// clusterFlags defines the shared cluster-shape flags.
-type clusterFlags struct {
-	slaves     *int
-	cores      *int
-	hdfs       *string
-	local      *string
-	heapGB     *float64
-	seed       *uint64
-	stragglers *float64
-	speculate  *bool
-	failProb   *float64
-	fetchProb  *float64
-	maxFail    *int
-	backoff    *float64
-	faultSeed  *uint64
-}
-
-func addClusterFlags(fs *flag.FlagSet) clusterFlags {
-	return clusterFlags{
-		slaves:     fs.Int("slaves", 10, "worker node count N"),
-		cores:      fs.Int("cores", 36, "executor cores per node P"),
-		hdfs:       fs.String("hdfs", "ssd", "HDFS device: hdd, ssd, pd-standard:SIZE, pd-ssd:SIZE"),
-		local:      fs.String("local", "ssd", "Spark Local device: hdd, ssd, pd-standard:SIZE, pd-ssd:SIZE"),
-		heapGB:     fs.Float64("heap-gb", 0, "executor heap per node in GB (0 = unlimited memory, legacy behaviour)"),
-		seed:       fs.Uint64("seed", 0, "task-time jitter seed (repeat-run error bars)"),
-		stragglers: fs.Float64("stragglers", 0, "fraction of tasks running 5x slower"),
-		speculate:  fs.Bool("speculate", false, "enable Spark-style speculative execution"),
-		failProb:   fs.Float64("fail-prob", 0, "per-attempt task failure probability (fault injection)"),
-		fetchProb:  fs.Float64("fetch-fail-prob", 0, "per-attempt shuffle-fetch failure probability"),
-		maxFail:    fs.Int("max-task-failures", 0, "attempt budget before the app aborts (0 = Spark default 4)"),
-		backoff:    fs.Float64("retry-backoff", 0, "base retry delay in seconds (0 = 1s default)"),
-		faultSeed:  fs.Uint64("fault-seed", 0, "fault-injection seed (mixed with -seed)"),
-	}
-}
-
-func (c clusterFlags) config() (spark.ClusterConfig, error) {
-	hd, err := parseDevice(*c.hdfs)
-	if err != nil {
-		return spark.ClusterConfig{}, err
-	}
-	ld, err := parseDevice(*c.local)
-	if err != nil {
-		return spark.ClusterConfig{}, err
-	}
-	cfg := spark.DefaultTestbed(*c.slaves, *c.cores, hd, ld)
-	cfg.Memory = spark.MemoryConfig{HeapGB: *c.heapGB}
-	cfg.Seed = *c.seed
-	if *c.stragglers > 0 {
-		cfg.StragglerFraction = *c.stragglers
-		cfg.StragglerSlowdown = 5
-	}
-	cfg.Speculation = *c.speculate
-	cfg.Faults = spark.FaultConfig{
-		TaskFailureProb:         *c.failProb,
-		ShuffleFetchFailureProb: *c.fetchProb,
-		MaxTaskFailures:         *c.maxFail,
-		RetryBackoff:            spark.DurationParam(*c.backoff),
-		Seed:                    *c.faultSeed,
-	}
-	// Surface bad flag combinations here, with flag vocabulary, instead
-	// of letting spark.Run fail later with config vocabulary.
-	if err := cfg.Validate(); err != nil {
-		return spark.ClusterConfig{}, err
-	}
-	return cfg, nil
-}
-
-// parseDevice understands "hdd", "ssd", "pd-standard:2TB", "pd-ssd:200GB".
-// The vocabulary lives in cloud.ParseDevice so the serve API shares it.
-func parseDevice(s string) (disk.Device, error) {
-	return cloud.ParseDevice(s)
+// addScenarioFlags binds the shared cluster-shape flags straight into a
+// scenario.Spec; its Config surfaces bad flag combinations before
+// spark.Run would.
+func addScenarioFlags(fs *flag.FlagSet) *scenario.Spec {
+	s := &scenario.Spec{Faults: &scenario.Faults{}}
+	fs.IntVar(&s.Slaves, "slaves", scenario.DefaultSlaves, "worker node count N")
+	fs.IntVar(&s.Cores, "cores", scenario.DefaultCores, "executor cores per node P")
+	fs.StringVar(&s.HDFS, "hdfs", scenario.DefaultDevice, "HDFS device: hdd, ssd, pd-standard:SIZE, pd-ssd:SIZE")
+	fs.StringVar(&s.Local, "local", scenario.DefaultDevice, "Spark Local device: hdd, ssd, pd-standard:SIZE, pd-ssd:SIZE")
+	fs.Float64Var(&s.HeapGB, "heap-gb", 0, "executor heap per node in GB (0 = unlimited memory, legacy behaviour)")
+	fs.Uint64Var(&s.Seed, "seed", 0, "task-time jitter seed (repeat-run error bars)")
+	fs.Float64Var(&s.Stragglers, "stragglers", 0, "fraction of tasks running 5x slower")
+	fs.BoolVar(&s.Speculate, "speculate", false, "enable Spark-style speculative execution")
+	fs.Float64Var(&s.Faults.TaskFailureProb, "fail-prob", 0, "per-attempt task failure probability (fault injection)")
+	fs.Float64Var(&s.Faults.ShuffleFetchFailureProb, "fetch-fail-prob", 0, "per-attempt shuffle-fetch failure probability")
+	fs.IntVar(&s.Faults.MaxTaskFailures, "max-task-failures", 0, "attempt budget before the app aborts (0 = Spark default 4)")
+	fs.Float64Var(&s.Faults.RetryBackoffSeconds, "retry-backoff", 0, "base retry delay in seconds (0 = 1s default)")
+	fs.Uint64Var(&s.Faults.Seed, "fault-seed", 0, "fault-injection seed (mixed with -seed)")
+	return s
 }
 
 func (a *app) cmdSim(args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ContinueOnError)
-	cf := addClusterFlags(fs)
+	spec := addScenarioFlags(fs)
 	iostat := fs.Bool("iostat", false, "print the per-stage iostat report")
 	blocked := fs.Bool("blocked", false, "print the blocked-time analysis")
 	if err := fs.Parse(args); err != nil {
@@ -356,7 +305,7 @@ func (a *app) cmdSim(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := cf.config()
+	cfg, err := spec.Config()
 	if err != nil {
 		return err
 	}
@@ -384,7 +333,7 @@ func (a *app) cmdSim(args []string) error {
 
 func (a *app) cmdPredict(args []string) error {
 	fs := flag.NewFlagSet("predict", flag.ContinueOnError)
-	cf := addClusterFlags(fs)
+	spec := addScenarioFlags(fs)
 	save := fs.String("save", "", "write the calibrated model to this JSON file")
 	load := fs.String("load", "", "load a previously saved model instead of calibrating")
 	if err := fs.Parse(args); err != nil {
@@ -397,7 +346,7 @@ func (a *app) cmdPredict(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := cf.config()
+	cfg, err := spec.Config()
 	if err != nil {
 		return err
 	}
@@ -415,10 +364,8 @@ func (a *app) cmdPredict(args []string) error {
 		fmt.Fprintf(a.out, "# loaded calibrated model from %s\n", *load)
 	} else {
 		// Calibrate on the same slave count per the paper's Section VI-1.
-		ssd, hdd := disk.NewSSD(), disk.NewHDD()
-		base := spark.DefaultTestbed(cfg.Slaves, 1, ssd, ssd)
 		fmt.Fprintf(a.out, "# calibrating (4 sample runs, %d slaves)...\n", cfg.Slaves)
-		cal, err := core.Calibrate(base, ssd, hdd, w.Build)
+		cal, err := scenario.CalibrateTestbed(cfg.Slaves, w.Build)
 		if err != nil {
 			return err
 		}
@@ -482,11 +429,8 @@ func (a *app) cmdOptimize(args []string) error {
 		return err
 	}
 
-	ssd := cloud.NewDisk(cloud.PDSSD, 500*units.GB)
-	hdd := cloud.NewDisk(cloud.PDStandard, 200*units.GB)
-	base := spark.DefaultTestbed(3, 1, ssd, ssd)
-	fmt.Fprintln(a.out, "# calibrating on virtual disks (4 sample runs, 3 slaves)...")
-	cal, err := core.Calibrate(base, ssd, hdd, w.Build)
+	fmt.Fprintf(a.out, "# calibrating on virtual disks (4 sample runs, %d slaves)...\n", scenario.CloudCalibrationSlaves)
+	cal, err := scenario.CalibrateCloud(w.Build)
 	if err != nil {
 		return err
 	}
@@ -570,11 +514,8 @@ func (a *app) cmdRecommend(args []string) error {
 		return err
 	}
 
-	ssd := cloud.NewDisk(cloud.PDSSD, 500*units.GB)
-	hdd := cloud.NewDisk(cloud.PDStandard, 200*units.GB)
-	base := spark.DefaultTestbed(3, 1, ssd, ssd)
-	fmt.Fprintln(a.out, "# calibrating on virtual disks (4 sample runs, 3 slaves)...")
-	cal, err := core.Calibrate(base, ssd, hdd, w.Build)
+	fmt.Fprintf(a.out, "# calibrating on virtual disks (4 sample runs, %d slaves)...\n", scenario.CloudCalibrationSlaves)
+	cal, err := scenario.CalibrateCloud(w.Build)
 	if err != nil {
 		return err
 	}
@@ -735,7 +676,7 @@ func (a *app) cmdServe(ctx context.Context, args []string) error {
 // answers without burning cluster hours.
 func (a *app) cmdWhatif(args []string) error {
 	fs := flag.NewFlagSet("whatif", flag.ContinueOnError)
-	cf := addClusterFlags(fs)
+	spec := addScenarioFlags(fs)
 	maxP := fs.Int("maxcores", 64, "largest per-node core count to sweep")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -747,14 +688,12 @@ func (a *app) cmdWhatif(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := cf.config()
+	cfg, err := spec.Config()
 	if err != nil {
 		return err
 	}
-	ssd, hddProbe := disk.NewSSD(), disk.NewHDD()
-	base := spark.DefaultTestbed(cfg.Slaves, 1, ssd, ssd)
 	fmt.Fprintln(a.out, "# calibrating (4 sample runs)...")
-	cal, err := core.Calibrate(base, ssd, hddProbe, w.Build)
+	cal, err := scenario.CalibrateTestbed(cfg.Slaves, w.Build)
 	if err != nil {
 		return err
 	}

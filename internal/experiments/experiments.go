@@ -15,9 +15,8 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/cloud"
 	"repro/internal/core"
-	"repro/internal/disk"
+	"repro/internal/scenario"
 	"repro/internal/spark"
 	"repro/internal/units"
 	"repro/internal/workloads"
@@ -245,27 +244,18 @@ func calStatsFrom(ctx context.Context) *calStats {
 // calibratedTestbed calibrates a workload on the paper's physical
 // testbed devices. Section V profiles on the evaluation cluster itself
 // (ten slaves) and varies P and the disks, so the sample runs use the
-// same slave count: RDD cache-or-persist decisions depend on cluster
-// memory, and the fitted δ constants must live at the target scale.
+// same slave count.
 func calibratedTestbed(ctx context.Context, workload string) (*core.Calibration, error) {
 	return calibrated(ctx, "testbed/"+workload, func() (*core.Calibration, error) {
-		w := mustWorkload(workload)
-		ssd, hdd := disk.NewSSD(), disk.NewHDD()
-		base := spark.DefaultTestbed(10, 1, ssd, ssd)
-		return core.Calibrate(base, ssd, hdd, w.Build)
+		return scenario.CalibrateTestbed(10, mustWorkload(workload).Build)
 	})
 }
 
 // calibratedCloud calibrates a workload on Google Cloud virtual disks
-// per Section VI-1: 500 GB pd-ssd for the SSD runs, 200 GB pd-standard
-// for the probes.
+// per Section VI-1 (scenario.CalibrateCloud).
 func calibratedCloud(ctx context.Context, workload string) (*core.Calibration, error) {
 	return calibrated(ctx, "cloud/"+workload, func() (*core.Calibration, error) {
-		w := mustWorkload(workload)
-		ssd := cloud.NewDisk(cloud.PDSSD, 500*units.GB)
-		hdd := cloud.NewDisk(cloud.PDStandard, 200*units.GB)
-		base := spark.DefaultTestbed(3, 1, ssd, ssd)
-		return core.Calibrate(base, ssd, hdd, w.Build)
+		return scenario.CalibrateCloud(mustWorkload(workload).Build)
 	})
 }
 

@@ -5,6 +5,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // The serve benchmarks gate the request hot path in CI (see
@@ -44,7 +46,7 @@ func BenchmarkCachePutEvict(b *testing.B) {
 
 func BenchmarkCanonicalKey(b *testing.B) {
 	req := PredictRequest{
-		ClusterParams: ClusterParams{Workload: "sql", Slaves: 3, Cores: 8},
+		ClusterParams: ClusterParams{Workload: "sql", Cluster: scenario.Cluster{Slaves: 3, Cores: 8}},
 	}
 	if err := req.normalize(); err != nil {
 		b.Fatal(err)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,44 @@ func TestCanonicalShardKeyRoutes(t *testing.T) {
 		}
 		keys[key] = true
 	}
+}
+
+// TestCanonicalShardKeyGolden pins the cache-key bytes themselves, not
+// just relations between keys: -cache-snapshot files persist these keys
+// across binary upgrades, so a change to any request type's field names,
+// order or omitempty tags would silently orphan every snapshotted entry.
+// Regenerate (only for a deliberate, versioned key change) with
+// `go test ./internal/serve -run TestCanonicalShardKeyGolden -update`.
+func TestCanonicalShardKeyGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		path string
+		body string
+	}{
+		{"predict-defaults", "/api/v1/predict", `{"workload":"lr-small"}`},
+		{"predict-full", "/api/v1/predict", `{"workload":"sql","slaves":3,"cores":8,"hdfs":"hdd","local":"pd-ssd:500GB","heap_gb":16,"mode":"peak-bw","stage":"scan",` +
+			`"faults":{"task_failure_prob":0.05,"shuffle_fetch_failure_prob":0.01,"max_task_failures":6,"retry_backoff_seconds":2.5,"seed":7}}`},
+		{"predict-empty-faults", "/api/v1/predict", `{"workload":"sql","faults":{}}`},
+		{"simulate-defaults", "/api/v1/simulate", `{"workload":"sql"}`},
+		{"simulate-full", "/api/v1/simulate", `{"workload":"terasort","slaves":4,"cores":16,"hdfs":"pd-standard:2TB","local":"hdd","heap_gb":8.5,` +
+			`"seed":42,"stragglers":0.1,"speculate":true,` +
+			`"faults":{"task_failure_prob":0.02,"shuffle_fetch_failure_prob":0.03,"max_task_failures":5,"retry_backoff_seconds":1.5,"seed":9}}`},
+		{"whatif-defaults", "/api/v1/whatif", `{"workload":"lr-small"}`},
+		{"whatif-full", "/api/v1/whatif", `{"workload":"pagerank","slaves":5,"cores":99,"hdfs":"ssd","local":"hdd","heap_gb":32,"max_cores":16,"backend":"sim"}`},
+		{"sweep-defaults", "/api/v1/sweep", `{"workloads":["sql"]}`},
+		{"sweep-full", "/api/v1/sweep", `{"workloads":["sql","lr-small"],"nodes":[3,10],"cores":[4,8],"devices":[{"hdfs":"ssd","local":"hdd"},{"hdfs":"pd-ssd:500GB","local":"pd-standard:1TB"}]}`},
+		{"recommend-defaults", "/api/v1/recommend", `{"workload":"gatk4"}`},
+		{"recommend-full", "/api/v1/recommend", `{"workload":"gatk4","slaves":6,"top":3,"deadline_minutes":120,"heap_gbs":[4,64]}`},
+	}
+	var b strings.Builder
+	for _, tc := range cases {
+		key, ok := CanonicalShardKey("POST", tc.path, []byte(tc.body))
+		if !ok {
+			t.Fatalf("%s: CanonicalShardKey not ok", tc.name)
+		}
+		fmt.Fprintf(&b, "%s %s\n", tc.name, strconv.Quote(key))
+	}
+	checkGolden(t, "cache_keys", []byte(b.String()))
 }
 
 // TestCanonicalShardKeyDefaultsCollapse pins that a body spelling out

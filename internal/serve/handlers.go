@@ -10,11 +10,10 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/experiments/sweep"
 	"repro/internal/optimizer"
+	"repro/internal/scenario"
 	"repro/internal/spark"
-	"repro/internal/units"
 	"repro/internal/workloads"
 )
 
@@ -74,43 +73,35 @@ func cacheKey(route string, req any) (string, error) {
 
 // --- shared request shapes -------------------------------------------
 
-// ClusterParams is the cluster shape shared by predict, simulate and
-// whatif requests. Devices use the CLI vocabulary ("hdd", "ssd",
-// "pd-standard:2TB", "pd-ssd:500GB").
+// ClusterParams is the workload and scenario cluster shape shared by
+// predict and whatif requests.
 type ClusterParams struct {
 	Workload string `json:"workload"`
-	Slaves   int    `json:"slaves"`
-	Cores    int    `json:"cores"`
-	HDFS     string `json:"hdfs"`
-	Local    string `json:"local"`
-	// HeapGB provisions per-node executor memory, enabling the memory
-	// layer (spill + GC) in simulations and the t_mem_limit term in
-	// predictions. Omitted or zero keeps the legacy memory-free
-	// behaviour, and omitempty keeps legacy cache keys unchanged.
-	HeapGB float64 `json:"heap_gb,omitempty"`
+	scenario.Cluster
 }
 
-// normalize applies the CLI defaults and validates; after it returns the
-// struct is fully specified, so its marshal form is canonical.
+// normalize applies the scenario defaults and checks the workload, the
+// shape against serve's request caps, and the device names; after it
+// returns the struct is fully specified, so its marshal form is
+// canonical.
 func (c *ClusterParams) normalize() error {
-	if c.Workload == "" {
-		return fmt.Errorf("workload is required (GET /api/v1/workloads lists them)")
-	}
-	if _, err := workloads.Get(c.Workload); err != nil {
+	if err := normalizeCluster(c.Workload, &c.Cluster); err != nil {
 		return err
 	}
-	if c.Slaves == 0 {
-		c.Slaves = 10
+	_, err := scenario.Spec{Cluster: c.Cluster}.Config()
+	return err
+}
+
+// normalizeCluster is normalize minus the device check, which callers
+// get from their own Spec.Config.
+func normalizeCluster(workload string, c *scenario.Cluster) error {
+	if workload == "" {
+		return fmt.Errorf("workload is required (GET /api/v1/workloads lists them)")
 	}
-	if c.Cores == 0 {
-		c.Cores = 36
+	if _, err := workloads.Get(workload); err != nil {
+		return err
 	}
-	if c.HDFS == "" {
-		c.HDFS = "ssd"
-	}
-	if c.Local == "" {
-		c.Local = "ssd"
-	}
+	c.FillDefaults()
 	if c.Slaves < 1 || c.Slaves > 1024 {
 		return fmt.Errorf("slaves %d outside [1, 1024]", c.Slaves)
 	}
@@ -120,107 +111,50 @@ func (c *ClusterParams) normalize() error {
 	if c.HeapGB < 0 || c.HeapGB > 4096 {
 		return fmt.Errorf("heap_gb %v outside [0, 4096]", c.HeapGB)
 	}
-	if _, err := cloud.ParseDevice(c.HDFS); err != nil {
-		return fmt.Errorf("hdfs: %v", err)
-	}
-	if _, err := cloud.ParseDevice(c.Local); err != nil {
-		return fmt.Errorf("local: %v", err)
-	}
 	return nil
 }
 
-// clusterConfig builds the simulator configuration (devices are
-// constructed per call: device state is not shareable across runs).
-func (c ClusterParams) clusterConfig() (spark.ClusterConfig, error) {
-	hd, err := cloud.ParseDevice(c.HDFS)
-	if err != nil {
-		return spark.ClusterConfig{}, err
+// dropEmptyFaults maps a faults block that sets nothing to nil, so
+// `"faults":{}` shares the fault-free request's cache key.
+func dropEmptyFaults(f *scenario.Faults) *scenario.Faults {
+	if f != nil && *f == (scenario.Faults{}) {
+		return nil
 	}
-	ld, err := cloud.ParseDevice(c.Local)
-	if err != nil {
-		return spark.ClusterConfig{}, err
-	}
-	cfg := spark.DefaultTestbed(c.Slaves, c.Cores, hd, ld)
-	cfg.Memory = spark.MemoryConfig{HeapGB: c.HeapGB}
-	return cfg, nil
-}
-
-// FaultSpec mirrors core.FaultParams / spark.FaultConfig in JSON.
-type FaultSpec struct {
-	TaskFailureProb         float64 `json:"task_failure_prob,omitempty"`
-	ShuffleFetchFailureProb float64 `json:"shuffle_fetch_failure_prob,omitempty"`
-	MaxTaskFailures         int     `json:"max_task_failures,omitempty"`
-	RetryBackoffSeconds     float64 `json:"retry_backoff_seconds,omitempty"`
-	Seed                    uint64  `json:"seed,omitempty"`
-}
-
-func (f *FaultSpec) empty() bool {
-	return f == nil || (f.TaskFailureProb == 0 && f.ShuffleFetchFailureProb == 0 &&
-		f.MaxTaskFailures == 0 && f.RetryBackoffSeconds == 0 && f.Seed == 0)
-}
-
-func (f *FaultSpec) params() core.FaultParams {
-	return core.FaultParams{
-		TaskFailureProb:         f.TaskFailureProb,
-		ShuffleFetchFailureProb: f.ShuffleFetchFailureProb,
-		MaxTaskFailures:         f.MaxTaskFailures,
-		RetryBackoff:            units.SecDuration(f.RetryBackoffSeconds),
-	}
-}
-
-func (f *FaultSpec) config() spark.FaultConfig {
-	return spark.FaultConfig{
-		TaskFailureProb:         f.TaskFailureProb,
-		ShuffleFetchFailureProb: f.ShuffleFetchFailureProb,
-		MaxTaskFailures:         f.MaxTaskFailures,
-		RetryBackoff:            spark.DurationParam(f.RetryBackoffSeconds),
-		Seed:                    f.Seed,
-	}
+	return f
 }
 
 // --- calibration -----------------------------------------------------
 
 // calibration returns the cached calibrated model for (workload,
-// slaves), fitting it on first use exactly as `doppio predict` does:
-// four sample runs on the physical-testbed devices at the target slave
-// count (paper Section VI-1).
+// slaves), fitting it on first use exactly as `doppio predict` does
+// (scenario.CalibrateTestbed at the target slave count).
 func (s *Server) calibration(workload string, slaves int) (*core.Calibration, error) {
 	key := fmt.Sprintf("calibration\x00testbed\x00%s\x00%d", workload, slaves)
-	v, _, err := s.cache.do(key, func() (any, error) {
-		w, err := workloads.Get(workload)
-		if err != nil {
-			return nil, err
-		}
-		ssd, hdd := disk.NewSSD(), disk.NewHDD()
-		base := spark.DefaultTestbed(slaves, 1, ssd, ssd)
-		cal, err := core.Calibrate(base, ssd, hdd, w.Build)
-		if err != nil {
-			return nil, fmt.Errorf("calibrating %s at %d slaves: %w", workload, slaves, err)
-		}
-		return cal, nil
+	return s.calibrated(key, workload, fmt.Sprintf("at %d slaves", slaves), func(w workloads.Workload) (*core.Calibration, error) {
+		return scenario.CalibrateTestbed(slaves, w.Build)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*core.Calibration), nil
 }
 
-// cloudCalibration is the recommend endpoint's model: fitted on Google
-// Cloud virtual disks (Section VI-1's 500 GB pd-ssd / 200 GB
-// pd-standard probes, three slaves).
+// cloudCalibration is the recommend endpoint's model, fitted on Google
+// Cloud virtual disks (scenario.CalibrateCloud).
 func (s *Server) cloudCalibration(workload string) (*core.Calibration, error) {
 	key := fmt.Sprintf("calibration\x00cloud\x00%s", workload)
+	return s.calibrated(key, workload, "on cloud disks", func(w workloads.Workload) (*core.Calibration, error) {
+		return scenario.CalibrateCloud(w.Build)
+	})
+}
+
+// calibrated runs fit once per cache key; the key strings above are
+// persisted by cache snapshots, so they must not change.
+func (s *Server) calibrated(key, workload, where string, fit func(workloads.Workload) (*core.Calibration, error)) (*core.Calibration, error) {
 	v, _, err := s.cache.do(key, func() (any, error) {
 		w, err := workloads.Get(workload)
 		if err != nil {
 			return nil, err
 		}
-		ssd := cloud.NewDisk(cloud.PDSSD, 500*units.GB)
-		hdd := cloud.NewDisk(cloud.PDStandard, 200*units.GB)
-		base := spark.DefaultTestbed(3, 1, ssd, ssd)
-		cal, err := core.Calibrate(base, ssd, hdd, w.Build)
+		cal, err := fit(w)
 		if err != nil {
-			return nil, fmt.Errorf("calibrating %s on cloud disks: %w", workload, err)
+			return nil, fmt.Errorf("calibrating %s %s: %w", workload, where, err)
 		}
 		return cal, nil
 	})
@@ -282,9 +216,13 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 // failure-recovery extension (core.PredictFaulty) instead.
 type PredictRequest struct {
 	ClusterParams
-	Mode   string     `json:"mode"`
-	Stage  string     `json:"stage,omitempty"`
-	Faults *FaultSpec `json:"faults,omitempty"`
+	Mode   string           `json:"mode"`
+	Stage  string           `json:"stage,omitempty"`
+	Faults *scenario.Faults `json:"faults,omitempty"`
+}
+
+func (req PredictRequest) spec() scenario.Spec {
+	return scenario.Spec{Cluster: req.Cluster, Faults: req.Faults}
 }
 
 func (req *PredictRequest) normalize() error {
@@ -297,12 +235,8 @@ func (req *PredictRequest) normalize() error {
 	if _, err := parseMode(req.Mode); err != nil {
 		return err
 	}
-	if req.Faults.empty() {
-		req.Faults = nil
-	} else if err := req.Faults.params().Validate(); err != nil {
-		return err
-	}
-	return nil
+	req.Faults = dropEmptyFaults(req.Faults)
+	return req.spec().FaultParams().Validate()
 }
 
 // StagePredictionJSON is one stage's evaluated Eq. 1.
@@ -369,7 +303,8 @@ func (s *Server) computePredict(req PredictRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := req.clusterConfig()
+	spec := req.spec()
+	cfg, err := spec.Config()
 	if err != nil {
 		return nil, err
 	}
@@ -385,7 +320,7 @@ func (s *Server) computePredict(req PredictRequest) ([]byte, error) {
 		CalibrationWarnings: cal.Warnings,
 	}
 	if req.Faults != nil {
-		pred, err := cal.Model.PredictFaulty(pl, mode, req.Faults.params())
+		pred, err := cal.Model.PredictFaulty(pl, mode, spec.FaultParams())
 		if err != nil {
 			return nil, err
 		}
@@ -424,46 +359,25 @@ func (s *Server) computePredict(req PredictRequest) ([]byte, error) {
 
 // --- POST /api/v1/simulate -------------------------------------------
 
-// SimulateRequest runs the discrete-event cluster simulator.
+// SimulateRequest runs the discrete-event cluster simulator on a full
+// scenario.
 type SimulateRequest struct {
-	ClusterParams
-	Seed       uint64     `json:"seed,omitempty"`
-	Stragglers float64    `json:"stragglers,omitempty"`
-	Speculate  bool       `json:"speculate,omitempty"`
-	Faults     *FaultSpec `json:"faults,omitempty"`
+	Workload string `json:"workload"`
+	scenario.Spec
 }
 
 func (req *SimulateRequest) normalize() error {
-	if err := req.ClusterParams.normalize(); err != nil {
+	if err := normalizeCluster(req.Workload, &req.Cluster); err != nil {
 		return err
 	}
 	if req.Stragglers < 0 || req.Stragglers >= 1 {
 		return fmt.Errorf("stragglers %v outside [0, 1)", req.Stragglers)
 	}
-	if req.Faults.empty() {
-		req.Faults = nil
-	}
-	return nil
-}
-
-func (req SimulateRequest) config() (spark.ClusterConfig, error) {
-	cfg, err := req.clusterConfig()
-	if err != nil {
-		return spark.ClusterConfig{}, err
-	}
-	cfg.Seed = req.Seed
-	if req.Stragglers > 0 {
-		cfg.StragglerFraction = req.Stragglers
-		cfg.StragglerSlowdown = 5
-	}
-	cfg.Speculation = req.Speculate
-	if req.Faults != nil {
-		cfg.Faults = req.Faults.config()
-	}
-	if err := cfg.Validate(); err != nil {
-		return spark.ClusterConfig{}, err
-	}
-	return cfg, nil
+	req.Faults = dropEmptyFaults(req.Faults)
+	// Devices and config-vocabulary problems (e.g. fault probabilities
+	// out of range) surface here as 400s, before caching.
+	_, err := req.Config()
+	return err
 }
 
 // SimStageJSON is one simulated stage measurement.
@@ -506,12 +420,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Surface config-vocabulary problems (e.g. fault probabilities out of
-	// range) as 400s before caching.
-	if _, err := req.config(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	key, err := cacheKey("/api/v1/simulate", req)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -525,7 +433,7 @@ func (s *Server) computeSimulate(req SimulateRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := req.config()
+	cfg, err := req.Config()
 	if err != nil {
 		return nil, err
 	}
@@ -649,7 +557,7 @@ func (s *Server) computeWhatif(req WhatifRequest) ([]byte, error) {
 	} else if wl, err = workloads.Get(req.Workload); err != nil {
 		return nil, err
 	}
-	base, err := req.clusterConfig()
+	base, err := scenario.Spec{Cluster: req.Cluster}.Config()
 	if err != nil {
 		return nil, err
 	}
@@ -955,15 +863,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) computeSweep(req SweepRequest) ([]byte, error) {
 	grid := sweep.Grid{Nodes: req.Nodes, Cores: req.Cores, Workloads: req.Workloads}
 	for _, d := range req.Devices {
-		d := d
-		grid.Devices = append(grid.Devices, sweep.DevicePair{
-			Name: d.HDFS + "/" + d.Local,
-			HDFS: func() disk.Device { dev, _ := cloud.ParseDevice(d.HDFS); return dev },
-			Local: func() disk.Device {
-				dev, _ := cloud.ParseDevice(d.Local)
-				return dev
-			},
-		})
+		grid.Devices = append(grid.Devices, sweep.DevicePair{Name: d.HDFS + "/" + d.Local})
 	}
 	// The sweep planner: a calibration (and the model compiled against
 	// its devices) depends on (workload, nodes, device pair) but not on
@@ -1000,8 +900,10 @@ func (s *Server) computeSweep(req SweepRequest) ([]byte, error) {
 		if err != nil {
 			return fail(err)
 		}
-		dev := g.Points[0].Devices
-		cfg := spark.DefaultTestbed(g.Key.nodes, 1, dev.HDFS(), dev.Local())
+		cfg, err := scenario.Spec{Cluster: scenario.Cluster{Slaves: g.Key.nodes, Cores: 1, HDFS: hdfsName, Local: localName}}.Config()
+		if err != nil {
+			return fail(err)
+		}
 		cm, err := core.Compile(cal.Model, core.EnvOf(core.PlatformFor(cfg)), core.ModeDoppio)
 		if err != nil {
 			return fail(err)
