@@ -8,18 +8,20 @@ import (
 	"repro/internal/disk"
 )
 
-// FuzzFaultyCoalesce drives randomized degraded-mode configurations —
-// fault rates, straggler fractions, jitter, seeds, speculation knobs
-// and cluster shapes — through the default path and the
+// FuzzFaultyCoalesce drives randomized clean and degraded-mode
+// configurations — fault rates, straggler fractions, jitter, seeds,
+// speculation knobs and cluster shapes — through the default path and the
 // DisableCoalescing per-task oracle, asserting the Results (or the
 // fatal errors) are deeply equal. This is the tentpole's safety net:
-// whatever the partial-coalescing planner decides (coalesce, bail at
+// whatever the coalescing planner decides (coalesce, bail at
 // runtime, or fall through to per-task), the outcome must be
 // byte-identical.
 //
 // The seed corpus covers the paper's degraded-measurement regimes:
 // fig-13-style task-failure sweeps, fig-14-style fetch-failure /
-// recompute runs, and fig-15-style straggler + speculation studies.
+// recompute runs, and fig-15-style straggler + speculation studies,
+// plus a clean run whose map count leaves remainder nodes dirty and a
+// degraded run folding both nodes of a 2-slave cluster.
 func FuzzFaultyCoalesce(f *testing.F) {
 	// slaves, cores, mapTasks, failP, fetchP, stragF, slow, jitter, spec, specMult, seed, fseed
 	f.Add(8, 4, 128, 0.01, 0.0, 0.0, 0.0, 0.0, false, 0.0, uint64(42), uint64(7))   // fig-13: task failures
@@ -28,6 +30,8 @@ func FuzzFaultyCoalesce(f *testing.F) {
 	f.Add(6, 2, 120, 0.01, 0.01, 0.02, 4.0, 0.0, true, 2.0, uint64(1), uint64(11))  // everything on
 	f.Add(4, 2, 30, 0.02, 0.0, 0.0, 0.0, 0.15, false, 0.0, uint64(9), uint64(5))    // jittered: per-task regime
 	f.Add(3, 1, 33, 0.1, 0.05, 0.1, 6.0, 0.0, true, 1.2, uint64(13), uint64(17))    // indivisible counts, high rates
+	f.Add(7, 3, 129, 0.0, 0.0, 0.0, 0.0, 0.0, false, 0.0, uint64(42), uint64(0))    // clean 8x4, 130 maps: only the two remainder nodes dirty
+	f.Add(1, 1, 63, 0.001, 0.001, 0.0, 0.0, 0.0, true, 2.0, uint64(1), uint64(9))   // degraded on 2 slaves, no draw hits: both nodes fold
 	f.Fuzz(func(t *testing.T, slaves, cores, mapTasks int,
 		failP, fetchP, stragF, slow, jitter float64,
 		spec bool, specMult float64, seed, fseed uint64) {

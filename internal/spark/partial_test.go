@@ -49,7 +49,7 @@ func degradedConfigs() map[string]ClusterConfig {
 }
 
 // TestPartialMatchesPerTask pins the tentpole guarantee: on degraded
-// runs the default path (partial coalescing where the plan allows,
+// runs the default path (coalescing where the plan allows,
 // bail-to-per-task otherwise) returns a Result deeply equal to the
 // DisableCoalescing per-task replay.
 func TestPartialMatchesPerTask(t *testing.T) {
@@ -74,37 +74,69 @@ func TestPartialMatchesPerTask(t *testing.T) {
 }
 
 // TestPartialPlanCoalesces asserts the benchmark configuration really
-// takes the partial path (the perf win is meaningless if the plan
+// takes the coalesced path (the perf win is meaningless if the plan
 // silently degrades to per-task) and that its plan leaves a large
-// clean cohort.
+// clean cohort; and that a clean run with task counts Slaves does not
+// divide dirties only the nodes running the remainder tasks.
 func TestPartialPlanCoalesces(t *testing.T) {
 	cfg, app := faultScaleConfig()
-	dirty, dirtyCount, repReal, ok := planPartial(cfg, app)
-	if !ok {
-		t.Fatal("benchmark config is not partial-coalescing eligible")
+	dirty, clean := planCoalescing(cfg, app)
+	if clean == 0 {
+		t.Fatal("benchmark config does not coalesce")
 	}
-	if repReal < 0 || dirty[repReal] {
-		t.Fatalf("representative id %d is not clean", repReal)
-	}
-	if dirtyCount == 0 {
+	if dirtyCount := cfg.Slaves - clean; dirtyCount == 0 {
 		t.Fatal("plan drew zero dirty nodes; the benchmark would not exercise the fault path")
-	}
-	if dirtyCount > cfg.Slaves/2 {
+	} else if dirtyCount > cfg.Slaves/2 {
 		t.Fatalf("plan drew %d/%d dirty nodes; the clean cohort is too small for the benchmark to demonstrate coalescing", dirtyCount, cfg.Slaves)
 	}
 	r := newRunner(cfg, app, false)
-	if !r.partial {
-		t.Fatal("runner did not select the partial path")
+	if r.rep == nil || dirty[r.rep.id] {
+		t.Fatal("runner did not pick a clean representative")
 	}
 	res, err, bailed := r.runSafe()
 	if err != nil {
-		t.Fatalf("partial run: %v", err)
+		t.Fatalf("coalesced run: %v", err)
 	}
 	if bailed {
-		t.Fatal("partial run bailed to per-task; the benchmark measures the slow path")
+		t.Fatal("coalesced run bailed to per-task; the benchmark measures the slow path")
 	}
 	if res.Faults.TaskFailures == 0 {
-		t.Fatal("partial run injected no failures; the benchmark would not exercise recovery")
+		t.Fatal("coalesced run injected no failures; the benchmark would not exercise recovery")
+	}
+
+	// Fault-free at jitter 0: 130 maps on 8 slaves put the two remainder
+	// tasks on nodes 0 and 1, and the second stage's 32 reducers divide
+	// evenly.
+	ssd := disk.NewSSD()
+	cfg = DefaultTestbed(8, 4, ssd, ssd)
+	cfg.ComputeJitter = 0
+	uneven := scaleAppSized(8, 4, 130)
+	// Two groups in one stage: the second group's remainder starts at
+	// the first group's task count (9 on 8 slaves -> node 1).
+	twoGroups := scaleAppSized(8, 4, 9)
+	twoGroups.Stages[0].Groups = append(twoGroups.Stages[0].Groups, twoGroups.Stages[0].Groups[0])
+	for name, tc := range map[string]struct {
+		app  App
+		want []bool
+	}{
+		"uneven":    {uneven, []bool{true, true, false, false, false, false, false, false}},
+		"twoGroups": {twoGroups, []bool{true, true, false, false, false, false, false, false}},
+	} {
+		dirty, clean := planCoalescing(cfg, tc.app)
+		if !reflect.DeepEqual(dirty, tc.want) || clean != 6 {
+			t.Fatalf("%s: plan = %v (%d clean), want the remainder nodes %v dirty", name, dirty, clean, tc.want)
+		}
+		got, err, bailed := newRunner(cfg, tc.app, false).runSafe()
+		if err != nil || bailed {
+			t.Fatalf("%s: coalesced run: err %v, bailed %v", name, err, bailed)
+		}
+		want, err := newRunner(cfg, tc.app, true).run()
+		if err != nil {
+			t.Fatalf("%s: per-task run: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: coalesced run diverges from per-task replay:\n got %+v\nwant %+v", name, got, want)
+		}
 	}
 }
 

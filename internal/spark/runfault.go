@@ -32,156 +32,6 @@ func (r *runner) faultHash01(stageIdx, taskIdx, attempt int, salt uint64) float6
 	return float64(x>>11) / float64(1<<53)
 }
 
-// planPartial decides whether a degraded run (faults, speculation,
-// stragglers — the configurations full coalescing must reject)
-// qualifies for partial coalescing, and if so pre-draws the dirty-node
-// partition: every fault and straggler decision is a pure function of
-// the seeded hashes, so the set of tasks that will draw a degradation
-// event — and the nodes their recovery can touch — is known before the
-// event loop starts. Nodes outside that set execute provably identical
-// event sequences and fold into one representative.
-//
-// The plan is conservative where it can be (recovery taint spans) and
-// exact where it must be (the attempt-1 draws reuse the dispatch-time
-// hash calls verbatim); any runtime violation bails to the per-task
-// path, so a misprediction costs speed, never accuracy.
-func planPartial(cfg ClusterConfig, app App) (dirty []bool, dirtyCount, repReal int, ok bool) {
-	if !partialEligible(cfg, app) {
-		return nil, 0, -1, false
-	}
-	rr := &runner{cfg: cfgDerived{ClusterConfig: cfg}}
-	dirty = rr.drawDirty(app)
-	for _, d := range dirty {
-		if d {
-			dirtyCount++
-		}
-	}
-	// The fold needs a cohort: with fewer than two clean nodes the
-	// representative buys nothing over per-task.
-	if cfg.Slaves-dirtyCount < 2 {
-		return nil, 0, -1, false
-	}
-	repReal = -1
-	for id, d := range dirty {
-		if !d {
-			repReal = id
-			break
-		}
-	}
-	return dirty, dirtyCount, repReal, true
-}
-
-// partialEligible holds the static preconditions for partial
-// coalescing — the properties that make the clean cohort symmetric.
-func partialEligible(cfg ClusterConfig, app App) bool {
-	if cfg.DisableCoalescing || cfg.Slaves <= 2 {
-		return false
-	}
-	if !(cfg.Faults.Enabled() || cfg.Speculation || cfg.StragglerFraction > 0) {
-		return false // clean runs belong to full coalescing
-	}
-	// Jitter draws a distinct factor per task, so no two nodes run the
-	// same schedule; heap occupancy couples co-resident tasks the same
-	// way. Both stay per-task.
-	if cfg.ComputeJitter > 0 || cfg.Memory.Enabled() {
-		return false
-	}
-	// A scheduled crash dirties the whole cluster: surviving nodes
-	// absorb the dead node's share asymmetrically.
-	if len(cfg.Faults.NodeCrashes) > 0 {
-		return false
-	}
-	// A speculation multiplier at or below 1 makes roughly half the
-	// running tasks instant candidates — the clean cohort would bail
-	// immediately.
-	if cfg.Speculation && cfg.SpeculationMultiplier > 0 && cfg.SpeculationMultiplier <= 1 {
-		return false
-	}
-	for _, s := range app.Stages {
-		for _, g := range s.Groups {
-			if g.Count%cfg.Slaves != 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// drawDirty replays every attempt-1 fate draw the dispatcher will make
-// — the same faultHash01/hash01 calls with the same salts — and taints
-// the nodes an eventful task's recovery can reach: its home node, plus
-// a window covering retries (each hop moves one node right), the
-// speculative copy (launched one node right), and the follow-on
-// failures drawn on the retry and copy chains.
-func (r *runner) drawDirty(app App) []bool {
-	S := r.cfg.Slaves
-	dirty := make([]bool, S)
-	f := r.cfg.Faults
-	maxF := 1
-	if f.Enabled() {
-		maxF = f.maxTaskFailures()
-	}
-	taint := func(home, span int) {
-		if span >= S {
-			span = S - 1
-		}
-		for k := 0; k <= span; k++ {
-			dirty[(home+k)%S] = true
-		}
-	}
-	for si, s := range app.Stages {
-		idx := 0
-		for _, g := range s.Groups {
-			// draws reports whether attempt number a of hash-index tid
-			// would draw a failure or fetch failure.
-			draws := func(tid, a int) bool {
-				if p := f.TaskFailureProb; p > 0 && r.faultHash01(si, tid, a, saltFailProb) < p {
-					return true
-				}
-				if q := f.ShuffleFetchFailureProb; q > 0 {
-					for i, op := range g.Ops {
-						if op.Kind == OpShuffleRead && r.faultHash01(si, tid, a, saltFetch+uint64(i)<<8) < q {
-							return true
-						}
-					}
-				}
-				return false
-			}
-			for t := 0; t < g.Count; t++ {
-				eventful := f.Enabled() && draws(idx, 1)
-				if sf := r.cfg.StragglerFraction; sf > 0 && r.hash01(si, idx, saltStraggler) < sf {
-					eventful = true
-				}
-				if !eventful {
-					idx++
-					continue
-				}
-				// Count every failure the retry chain and the speculative
-				// copy's chain could draw; attempt numbers are dynamic at
-				// runtime, so scan a window twice the attempt budget.
-				fails := 0
-				if f.Enabled() {
-					for a := 2; a <= 2*maxF; a++ {
-						if draws(idx, a) {
-							fails++
-						}
-					}
-					if r.cfg.Speculation {
-						for a := 1; a <= 2*maxF; a++ {
-							if draws(idx+specCopyIdxOffset, a) {
-								fails++
-							}
-						}
-					}
-				}
-				taint(idx%S, 2+fails)
-				idx++
-			}
-		}
-	}
-	return dirty
-}
-
 // maybeSpeculate launches a second attempt for tasks that have run far
 // past the median completed duration (spark.speculation semantics). It
 // runs in the engine's late phase (see scheduleFinal), so the median
@@ -224,19 +74,17 @@ func (r *runner) maybeSpeculate(st *stageState) {
 		// Relaunch on the next node over; the copy is a fresh attempt
 		// (stragglers are machine-local, so the copy runs clean).
 		var other *node
-		var tid int
 		if r.faultsOn() {
-			other, tid = r.pickHealthy(a.nd.id+1, a.nd)
+			other = r.pickHealthy(a.nd.id+1, a.nd)
 			if other == nil {
 				// Nowhere to speculate; the original attempt may still
 				// finish on its own.
 				continue
 			}
 		} else {
-			tid = (a.nd.id + 1) % r.cfg.Slaves
-			other = r.byReal[tid]
+			other = r.byReal[(a.nd.id+1)%r.cfg.Slaves]
 		}
-		if r.partial && !r.dirtyReal[tid] {
+		if other == r.rep {
 			r.bail()
 		}
 		r.enqueue(other, dispatchRec{st: st, task: a.task, gi: a.gi, taskIdx: a.taskIdx + specCopyIdxOffset, mult: 1, speculative: true})
@@ -245,28 +93,26 @@ func (r *runner) maybeSpeculate(st *stageState) {
 }
 
 // pickHealthy returns the first non-crashed, non-blacklisted node at or
-// after real id start (wrapping), with its real id, preferring any node
-// other than avoid; avoid itself is returned only when it is the sole
-// healthy node. Nil means no healthy node exists.
-func (r *runner) pickHealthy(start int, avoid *node) (*node, int) {
+// after real id start (wrapping), preferring any node other than avoid;
+// avoid itself is returned only when it is the sole healthy node. Nil
+// means no healthy node exists.
+func (r *runner) pickHealthy(start int, avoid *node) *node {
 	n := r.cfg.Slaves
 	var fallback *node
-	fallbackID := -1
 	for k := 0; k < n; k++ {
-		id := (start + k) % n
-		nd := r.byReal[id]
+		nd := r.byReal[(start+k)%n]
 		if nd.crashed || nd.blacklisted {
 			continue
 		}
 		if nd == avoid {
 			if fallback == nil {
-				fallback, fallbackID = nd, id
+				fallback = nd
 			}
 			continue
 		}
-		return nd, id
+		return nd
 	}
-	return fallback, fallbackID
+	return fallback
 }
 
 // noHealthyNodes builds the fatal everything-is-gone error.
@@ -333,7 +179,7 @@ func (r *runner) noteNodeFailure(nd *node) {
 	if healthy <= 1 {
 		return
 	}
-	if r.partial {
+	if r.rep != nil {
 		// Blacklisting reroutes every future dispatch homed on this
 		// node — the clean cohort's schedules stop being symmetric.
 		r.bail()
@@ -385,12 +231,12 @@ func (r *runner) retryTask(st *stageState, task *taskState, fromID, gi int, g Ta
 		if task.done || r.err != nil {
 			return
 		}
-		target, tid := r.pickHealthy(fromID+1, from)
+		target := r.pickHealthy(fromID+1, from)
 		if target == nil {
 			r.failApp(r.noHealthyNodes())
 			return
 		}
-		if r.partial && !r.dirtyReal[tid] {
+		if target == r.rep {
 			r.bail()
 		}
 		r.enqueue(target, dispatchRec{st: st, task: task, gi: gi, taskIdx: taskIdx, mult: 1})
@@ -443,12 +289,12 @@ func (r *runner) fetchFail(st *stageState, a *attempt) {
 func (r *runner) recomputeParent(st *stageState, parent *stageState, fromID int, then func()) {
 	st.res.Faults.Recomputes++
 	r.res.Faults.Recomputes++
-	target, tid := r.pickHealthy(fromID, nil)
+	target := r.pickHealthy(fromID, nil)
 	if target == nil {
 		r.failApp(r.noHealthyNodes())
 		return
 	}
-	if r.partial && !r.dirtyReal[tid] {
+	if target == r.rep {
 		r.bail()
 	}
 	g := parent.stage.Groups[0]

@@ -6,10 +6,10 @@ import (
 	"repro/internal/units"
 )
 
-// The memory layer runs only on the per-task path (coalescable and
-// partialEligible both reject Memory.Enabled() configs): heap occupancy
-// couples every task on a node to its co-resident wave, so node
-// symmetry cannot be assumed.
+// The memory layer runs only on the per-task path (planCoalescing
+// rejects Memory.Enabled() configs): heap occupancy couples every task
+// on a node to its co-resident wave, so node symmetry cannot be
+// assumed.
 
 // reserveMem charges an attempt's working set against its node's heap
 // and decides, deterministically, how much of it spills: the overflow

@@ -17,16 +17,15 @@ import (
 // DependsOn, the DAG scheduler runs every stage whose dependencies have
 // completed, concurrently — Spark's actual stage semantics.
 //
-// Three execution modes share one event loop, chosen automatically:
+// Two execution modes share one event loop, chosen automatically:
 //
-//   - full coalescing: a provably node-symmetric run (see coalescable)
-//     simulates one representative node and folds it back Slaves times;
-//   - partial coalescing: a degraded run (faults, speculation,
-//     stragglers) pre-draws every per-task event from the seeded hashes,
-//     simulates the few "dirty" nodes that host one individually, and
-//     folds one representative over the untouched clean cohort (see
-//     planPartial and docs/PERF.md);
-//   - per-task: everything else, and the oracle the other two modes are
+//   - coalesced: planCoalescing marks the nodes whose schedule can
+//     differ from their neighbours' — the homes of a group's remainder
+//     tasks and every node a pre-drawn fault or straggler can reach —
+//     as dirty and simulates them individually, folding one
+//     representative over the clean cohort. A run with no dirty nodes
+//     simulates the representative alone (see docs/PERF.md);
+//   - per-task: everything else, and the oracle the coalesced mode is
 //     pinned byte-identical against (ClusterConfig.DisableCoalescing
 //     forces it for A/B comparison).
 func Run(cfg ClusterConfig, app App) (*Result, error) {
@@ -41,30 +40,28 @@ func Run(cfg ClusterConfig, app App) (*Result, error) {
 	if !bailed {
 		return res, err
 	}
-	// The partial-coalescing plan was violated at runtime (a degradation
-	// event reached the clean cohort); rerun per-task, which is always
-	// exact.
+	// The coalescing plan was violated at runtime (a degradation event
+	// reached the clean cohort); rerun per-task, which is always exact.
 	r = newRunner(cfg, app, true)
 	return r.run()
 }
 
-// bailToPerTask is the panic sentinel the partial-coalescing path
-// throws when a runtime event would break cohort symmetry (a retry or
-// speculative copy landing on a clean node, a blacklisting, a
-// representative task drawing an event the plan missed). Run recovers
-// it and replays the whole simulation per-task, so partial coalescing
-// is an optimisation that can never change a Result.
+// bailToPerTask is the panic sentinel the coalesced path throws when a
+// runtime event would break cohort symmetry (a retry or speculative
+// copy landing on a clean node, a blacklisting, a representative task
+// drawing an event the plan missed). Run recovers
+// it and replays the whole simulation per-task, so coalescing is an
+// optimisation that can never change a Result.
 type bailToPerTask struct{}
 
-// bail abandons the partial-coalesced simulation.
+// bail abandons the coalesced simulation.
 func (r *runner) bail() { panic(bailToPerTask{}) }
 
 // runSafe runs the simulation, converting a bail sentinel into the
-// bailed flag. Only the partial path installs the recover — the
-// per-task and fully-coalesced paths never bail, and real panics must
-// keep propagating.
+// bailed flag. Only a run with a representative installs the recover —
+// the per-task path never bails, and real panics must keep propagating.
 func (r *runner) runSafe() (res *Result, err error, bailed bool) {
-	if r.partial {
+	if r.rep != nil {
 		defer func() {
 			if v := recover(); v != nil {
 				if _, ok := v.(bailToPerTask); ok {
@@ -296,11 +293,8 @@ type runner struct {
 	eng        *sim.Engine
 	ns         []*node // simulated nodes
 	byReal     []*node // real node id -> simulated node (clean ids map to rep)
-	rep        *node   // cohort representative (nil on the pure per-task path)
-	repReal    int     // the real id the representative impersonates
+	rep        *node   // cohort representative (nil on the per-task path)
 	repMult    int     // real nodes the representative stands for
-	partial    bool    // partial (degraded-mode) coalescing active
-	dirtyReal  []bool  // partial mode: real ids simulated individually
 	res        *Result
 	states     []*stageState
 	done       int
@@ -345,20 +339,16 @@ func newRunner(cfg ClusterConfig, app App, forcePerTask bool) *runner {
 		// coalescing simulates a representative node.
 		d.remoteFrac = float64(cfg.Slaves-1) / float64(cfg.Slaves)
 	}
-	r := &runner{cfg: d, app: app, repReal: -1, repMult: 1}
+	r := &runner{cfg: d, app: app, repMult: 1}
+	var dirty []bool
+	clean := 0
 	if !forcePerTask {
-		if coalescable(cfg, app) {
-			r.repReal, r.repMult = 0, cfg.Slaves
-		} else if dirty, dirtyCount, repReal, ok := planPartial(cfg, app); ok {
-			r.partial = true
-			r.dirtyReal = dirty
-			r.repReal = repReal
-			r.repMult = cfg.Slaves - dirtyCount
-		}
+		dirty, clean = planCoalescing(cfg, app)
 	}
 	simNodes := cfg.Slaves
-	if r.repReal >= 0 {
-		simNodes = cfg.Slaves - r.repMult + 1
+	if clean > 0 {
+		r.repMult = clean
+		simNodes = cfg.Slaves - clean + 1
 	}
 	eng := sim.NewEngineSized(simNodes*(cfg.ExecutorCores+4) + 16)
 	r.eng = eng
@@ -380,20 +370,19 @@ func newRunner(cfg ClusterConfig, app App, forcePerTask bool) *runner {
 		r.ns = append(r.ns, n)
 		return n
 	}
+	// Per-task runs simulate every node; coalesced ones the dirty nodes
+	// plus one representative, the first clean node, standing for all
+	// the clean ones.
 	r.byReal = make([]*node, cfg.Slaves)
-	switch {
-	case r.repReal < 0: // per-task: every real node simulated
-		for i := 0; i < cfg.Slaves; i++ {
-			r.byReal[i] = newNode(i)
-		}
-	default: // coalesced: one representative plus any dirty nodes
-		r.rep = newNode(r.repReal)
-		for i := 0; i < cfg.Slaves; i++ {
-			if r.partial && r.dirtyReal[i] {
-				r.byReal[i] = newNode(i)
-			} else {
-				r.byReal[i] = r.rep
-			}
+	for id := range r.byReal {
+		switch {
+		case clean == 0 || dirty != nil && dirty[id]:
+			r.byReal[id] = newNode(id)
+		case r.rep == nil:
+			r.rep = newNode(id)
+			fallthrough
+		default:
+			r.byReal[id] = r.rep
 		}
 	}
 	r.finalF = r.finalize
@@ -432,44 +421,127 @@ func buildStates(app App) []*stageState {
 	return states
 }
 
-// coalescable reports whether the run qualifies for full wave
-// coalescing: simulating one representative node in place of
-// cfg.Slaves identical ones and folding its timings and metrics back.
-// That is exact only when every node provably executes the same event
-// sequence, which requires
+// planCoalescing is the one coalescing planner. The cluster is
+// node-symmetric by construction — round-robin homes, identical slaves —
+// so nodes that receive the same task schedule and draw no degradation
+// event execute the same event sequence at the same virtual instants.
+// The plan marks as dirty, to be simulated individually, every node
+// that can break that symmetry:
 //
-//   - no fault injection, speculation, stragglers or compute jitter
-//     (each makes tasks or nodes heterogeneous), and
-//   - every task group's count divisible by the node count, so the
-//     round-robin assignment gives all nodes identical task schedules.
+//   - the homes of each group's remainder tasks: group g's Count%Slaves
+//     extras land on (off+k)%Slaves for k < Count%Slaves, off being the
+//     number of tasks in the stage's earlier groups;
+//   - every node a first-attempt fault, fetch-failure or straggler draw
+//     touches, plus the window its recovery can reach: retries hop one
+//     node right each, the speculative copy launches one node right,
+//     and the retry and copy chains draw failures of their own. Every
+//     such draw is a pure function of the seeded hashes, so the
+//     dispatcher's calls are replayed here verbatim.
 //
-// Degraded runs that miss only the first condition may still qualify
-// for partial coalescing (see planPartial); anything else falls back
-// to the per-task path automatically. All paths produce byte-identical
-// Results — the registry-wide golden tests in internal/workloads and
-// internal/spark enforce it.
-func coalescable(cfg ClusterConfig, app App) bool {
-	if cfg.DisableCoalescing || cfg.Slaves <= 1 {
-		return false
+// It returns the dirty set and the number of clean nodes the
+// representative folds. A nil set with clean > 0 is full coalescing: no
+// node is dirty. clean == 0 means per-task: the run cannot be symmetric
+// at all, or fewer than two clean nodes remain and the fold buys
+// nothing.
+//
+// The plan is conservative where it can be (taint windows) and exact
+// where it must be (the attempt-1 draws); any runtime violation bails
+// to the per-task path, so a misprediction costs speed, never accuracy.
+// The registry-wide golden tests in internal/workloads and
+// internal/spark pin the Results of both paths byte-identical.
+func planCoalescing(cfg ClusterConfig, app App) (dirty []bool, clean int) {
+	f := cfg.Faults
+	switch {
+	case cfg.DisableCoalescing,
+		// Jitter draws a distinct factor per task, so no two nodes run
+		// the same schedule; heap occupancy couples every task on a node
+		// to its co-resident wave the same way.
+		cfg.ComputeJitter > 0, cfg.Memory.Enabled(),
+		// A scheduled crash dirties the whole cluster: surviving nodes
+		// absorb the dead node's share asymmetrically.
+		len(f.NodeCrashes) > 0,
+		// A speculation multiplier at or below 1 makes roughly half the
+		// running tasks instant candidates; the representative would
+		// bail at once.
+		cfg.Speculation && cfg.SpeculationMultiplier > 0 && cfg.SpeculationMultiplier <= 1:
+		return nil, 0
 	}
-	if cfg.Faults.Enabled() || cfg.Speculation || cfg.StragglerFraction > 0 || cfg.ComputeJitter > 0 {
-		return false
-	}
-	// Heap occupancy couples every task on a node to its co-resident
-	// wave: simulating one representative node would need the exact
-	// cross-node placement to reproduce spill decisions, so
-	// memory-enabled runs always take the per-task path.
-	if cfg.Memory.Enabled() {
-		return false
-	}
-	for _, s := range app.Stages {
-		for _, g := range s.Groups {
-			if g.Count%cfg.Slaves != 0 {
-				return false
-			}
+	S := cfg.Slaves
+	taint := func(home, span int) {
+		if dirty == nil && span >= 0 {
+			dirty = make([]bool, S)
+		}
+		for k := 0; k <= min(span, S-1); k++ {
+			dirty[(home+k)%S] = true
 		}
 	}
-	return true
+	drawn := f.Enabled() || cfg.StragglerFraction > 0
+	maxF := 1
+	if f.Enabled() {
+		maxF = f.maxTaskFailures()
+	}
+	r := &runner{cfg: cfgDerived{ClusterConfig: cfg}} // for the seeded hashes
+	for si, s := range app.Stages {
+		off := 0
+		for _, g := range s.Groups {
+			end := off + g.Count
+			taint(off, g.Count%S-1) // the homes of the remainder tasks
+			// draws reports whether attempt number a of hash-index tid
+			// would draw a failure or fetch failure.
+			draws := func(tid, a int) bool {
+				if p := f.TaskFailureProb; p > 0 && r.faultHash01(si, tid, a, saltFailProb) < p {
+					return true
+				}
+				if q := f.ShuffleFetchFailureProb; q > 0 {
+					for i, op := range g.Ops {
+						if op.Kind == OpShuffleRead && r.faultHash01(si, tid, a, saltFetch+uint64(i)<<8) < q {
+							return true
+						}
+					}
+				}
+				return false
+			}
+			for idx := off; drawn && idx < end; idx++ {
+				eventful := f.Enabled() && draws(idx, 1)
+				if sf := cfg.StragglerFraction; sf > 0 && r.hash01(si, idx, saltStraggler) < sf {
+					eventful = true
+				}
+				if !eventful {
+					continue
+				}
+				// Count every failure the retry chain and the speculative
+				// copy's chain could draw; attempt numbers are dynamic at
+				// runtime, so scan a window twice the attempt budget.
+				fails := 0
+				if f.Enabled() {
+					for a := 2; a <= 2*maxF; a++ {
+						if draws(idx, a) {
+							fails++
+						}
+					}
+					if cfg.Speculation {
+						for a := 1; a <= 2*maxF; a++ {
+							if draws(idx+specCopyIdxOffset, a) {
+								fails++
+							}
+						}
+					}
+				}
+				taint(idx, 2+fails)
+			}
+			off = end
+		}
+	}
+	clean = S
+	for _, d := range dirty {
+		if d {
+			clean--
+		}
+	}
+	if clean < 2 {
+		return nil, 0
+	}
+	return dirty, clean
 }
 
 func (r *runner) run() (*Result, error) {
@@ -646,17 +718,14 @@ func (r *runner) launchStage(st *stageState, barrier time.Duration) {
 		}
 		r.eng.After(time.Second, tick)
 	}
-	// Size the logical-task slab: coalesced modes dispatch only the
-	// representative's and the dirty nodes' shares (group divisibility
-	// is guaranteed by eligibility).
-	dispatched := stage.Tasks()
-	if r.rep != nil {
-		per := 0
-		for _, g := range stage.Groups {
-			per += g.Count / r.cfg.Slaves
-		}
-		dispatched = per * len(r.ns) // dirty nodes + the representative
+	// Size the logical-task slab: every clean node's share is the same
+	// Σ⌊Count/Slaves⌋ tasks, and only the representative's copy of it is
+	// dispatched.
+	per := 0
+	for _, g := range stage.Groups {
+		per += g.Count / r.cfg.Slaves
 	}
+	dispatched := stage.Tasks() - (r.repMult-1)*per
 	st.tasks = make([]taskState, dispatched)
 	// Reserve every node's share of the dispatch records in one step.
 	perNode := (dispatched + len(r.ns) - 1) / len(r.ns)
@@ -680,7 +749,7 @@ func (r *runner) launchStage(st *stageState, barrier time.Duration) {
 			taskIdx++
 			home := idx % r.cfg.Slaves
 			nd := r.byReal[home]
-			if nd == r.rep && home != r.repReal {
+			if nd == r.rep && home != r.rep.id {
 				continue // clean-cohort sibling: folded into the representative
 			}
 			mult := 1
@@ -688,15 +757,15 @@ func (r *runner) launchStage(st *stageState, barrier time.Duration) {
 				mult = r.repMult
 			}
 			if r.faultsOn() {
-				target, tid := r.pickHealthy(home, nil)
+				target := r.pickHealthy(home, nil)
 				if target == nil {
 					r.failApp(r.noHealthyNodes())
 					return
 				}
-				if r.partial && tid != home {
+				if r.rep != nil && target != nd {
 					// A diverted launch would land the task off its home
-					// node; only blacklisting or crashes divert, and both
-					// bail before this point — keep the invariant explicit.
+					// node; only blacklisting (which bails) or crashes
+					// (never planned) divert — keep the invariant explicit.
 					r.bail()
 				}
 				nd = target
@@ -732,12 +801,12 @@ func (r *runner) dispatch(st *stageState, task *taskState, nd *node, gi, taskIdx
 			// The node went away while the dispatch queued; bounce the
 			// task to a healthy executor.
 			nd.cores.Release()
-			target, tid := r.pickHealthy(nd.id+1, nil)
+			target := r.pickHealthy(nd.id+1, nil)
 			if target == nil {
 				r.failApp(r.noHealthyNodes())
 				return
 			}
-			if r.partial && !r.dirtyReal[tid] {
+			if target == r.rep {
 				r.bail()
 			}
 			r.enqueue(target, dispatchRec{st: st, task: task, gi: gi, taskIdx: taskIdx, mult: mult, speculative: speculative})
@@ -997,28 +1066,30 @@ func (a *attempt) flowDone() {
 // embedded flow pair. The rare recovery paths (spill, parent
 // recompute) use the generic execOp instead.
 func (a *attempt) execCurOp() {
-	r, op, nd := a.r, a.curOp, a.nd
-	if op.Kind == OpCompute {
-		d := op.Duration
-		if d < 0 {
-			d = 0
-		}
-		a.pending = 1
-		r.eng.After(d, a.flowDoneF)
-		return
-	}
-	if op.Bytes <= 0 {
-		a.pending = 1
+	r, op := a.r, a.curOp
+	a.pending = 1
+	switch {
+	case op.Kind == OpCompute:
+		r.eng.After(max(op.Duration, 0), a.flowDoneF)
+	case op.Bytes <= 0:
 		r.eng.After(0, a.flowDoneF)
-		return
+	default:
+		a.pending = r.startFlows(a.st, a.nd, op, a.mult, &a.flow, &a.netFlow, a.flowDoneF)
 	}
+}
 
+// startFlows starts an I/O op's flows on nd: the disk flow on the
+// device the op addresses, at that device's bandwidth for the op's
+// request size, and — when the NIC is modelled and the op moves remote
+// bytes — a network flow beside it, whose bytes it charges to st at
+// multiplicity mult. Both complete into done; it returns how many
+// flows it started. flow and netFlow are the caller's flow structs; a
+// nil one is allocated.
+func (r *runner) startFlows(st *stageState, nd *node, op Op, mult int, flow, netFlow *sim.Flow, done func()) int {
 	reqSize := op.DefaultReqSize(r.cfg.HDFSBlockSize)
-	dev := r.cfg.HDFSDisk
-	res := nd.hdfs
+	dev, res := r.cfg.HDFSDisk, nd.hdfs
 	if op.Kind.OnLocal() {
-		dev = r.cfg.LocalDisk
-		res = nd.local
+		dev, res = r.cfg.LocalDisk, nd.local
 	}
 	var full units.Rate
 	if op.Kind.IsRead() {
@@ -1043,34 +1114,38 @@ func (a *attempt) execCurOp() {
 		netBytes = units.ByteSize(float64(op.Bytes) * r.cfg.remoteFrac)
 	}
 
-	a.pending = 1
-	if r.cfg.ModelNetwork && netBytes > 0 {
-		a.pending = 2
-	}
 	var computeRate units.Rate
 	if op.CoupledCompute > 0 {
 		computeRate = units.Over(diskBytes, op.CoupledCompute)
 	}
-	a.flow = sim.Flow{
+	if flow == nil {
+		flow = new(sim.Flow)
+	}
+	*flow = sim.Flow{
 		Name:        op.Kind.String(),
 		Bytes:       diskBytes,
 		FullRate:    full,
 		Cap:         op.StreamLimit,
 		ComputeRate: computeRate,
-		OnComplete:  a.flowDoneF,
+		OnComplete:  done,
 	}
-	res.Start(&a.flow)
-	if r.cfg.ModelNetwork && netBytes > 0 {
-		a.st.res.NetBytes += netBytes * units.ByteSize(a.mult)
-		a.netFlow = sim.Flow{
-			Name:       netFlowNames[op.Kind],
-			Bytes:      netBytes,
-			FullRate:   r.cfg.NICRate,
-			Cap:        op.StreamLimit,
-			OnComplete: a.flowDoneF,
-		}
-		nd.nic.Start(&a.netFlow)
+	res.Start(flow)
+	if !r.cfg.ModelNetwork || netBytes <= 0 {
+		return 1
 	}
+	st.res.NetBytes += netBytes * units.ByteSize(mult)
+	if netFlow == nil {
+		netFlow = new(sim.Flow)
+	}
+	*netFlow = sim.Flow{
+		Name:       netFlowNames[op.Kind],
+		Bytes:      netBytes,
+		FullRate:   r.cfg.NICRate,
+		Cap:        op.StreamLimit,
+		OnComplete: done,
+	}
+	nd.nic.Start(netFlow)
+	return 2
 }
 
 // jitterFactor returns the deterministic per-task compute-time multiplier
@@ -1132,82 +1207,18 @@ func (r *runner) accountIO(st *stageState, nd *node, op Op, elapsed time.Duratio
 // generic (allocating) form used by the recovery paths — spill traffic
 // and parent recomputes; the hot per-task walk uses execCurOp.
 func (r *runner) execOp(st *stageState, nd *node, op Op, done func()) {
-	switch op.Kind {
-	case OpCompute:
-		d := op.Duration
-		if d < 0 {
-			d = 0
-		}
-		r.eng.After(d, func() { done() })
-		return
-	default:
-	}
-
-	if op.Bytes <= 0 {
+	switch {
+	case op.Kind == OpCompute:
+		r.eng.After(max(op.Duration, 0), done)
+	case op.Bytes <= 0:
 		r.eng.After(0, done)
-		return
-	}
-
-	reqSize := op.DefaultReqSize(r.cfg.HDFSBlockSize)
-	var res *sim.FlowResource
-	var full units.Rate
-	diskBytes := op.Bytes
-	var netBytes units.ByteSize
-
-	dev := r.cfg.HDFSDisk
-	if op.Kind.OnLocal() {
-		dev = r.cfg.LocalDisk
-	}
-	if op.Kind.IsRead() {
-		full = dev.ReadBandwidth(reqSize)
-	} else {
-		full = dev.WriteBandwidth(reqSize)
-	}
-	if op.Kind.OnLocal() {
-		res = nd.local
-	} else {
-		res = nd.hdfs
-	}
-
-	switch op.Kind {
-	case OpHDFSWrite:
-		diskBytes = op.Bytes * units.ByteSize(r.cfg.HDFSReplication)
-		netBytes = op.Bytes * units.ByteSize(r.cfg.HDFSReplication-1)
-	case OpShuffleRead:
-		netBytes = units.ByteSize(float64(op.Bytes) * r.cfg.remoteFrac)
-	}
-
-	pending := 1
-	if r.cfg.ModelNetwork && netBytes > 0 {
-		pending = 2
-	}
-	complete := func() {
-		pending--
-		if pending == 0 {
-			done()
+	default:
+		pending := 0
+		complete := func() {
+			if pending--; pending == 0 {
+				done()
+			}
 		}
-	}
-
-	var computeRate units.Rate
-	if op.CoupledCompute > 0 {
-		computeRate = units.Over(diskBytes, op.CoupledCompute)
-	}
-	res.Start(&sim.Flow{
-		Name:        op.Kind.String(),
-		Bytes:       diskBytes,
-		FullRate:    full,
-		Cap:         op.StreamLimit,
-		ComputeRate: computeRate,
-		OnComplete:  complete,
-	})
-	if r.cfg.ModelNetwork && netBytes > 0 {
-		st.res.NetBytes += netBytes
-		nd.nic.Start(&sim.Flow{
-			Name:       netFlowNames[op.Kind],
-			Bytes:      netBytes,
-			FullRate:   r.cfg.NICRate,
-			Cap:        op.StreamLimit,
-			OnComplete: complete,
-		})
+		pending = r.startFlows(st, nd, op, 1, nil, nil, complete)
 	}
 }

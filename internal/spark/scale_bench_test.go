@@ -200,8 +200,8 @@ func TestScaleAppCoalesces(t *testing.T) {
 	cfg := DefaultTestbed(scaleSlaves, scaleCores, ssd, ssd)
 	cfg.ComputeJitter = 0
 	app := scaleApp(scaleSlaves, scaleCores)
-	if !coalescable(cfg, app) {
-		t.Fatal("scale benchmark config must be coalescable")
+	if dirty, clean := planCoalescing(cfg, app); dirty != nil || clean != cfg.Slaves {
+		t.Fatalf("scale benchmark config must coalesce fully; plan %v (%d clean)", dirty, clean)
 	}
 	a, err := Run(cfg, app)
 	if err != nil {

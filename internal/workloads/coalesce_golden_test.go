@@ -38,9 +38,11 @@ func runBothPaths(t *testing.T, cfg spark.ClusterConfig, app spark.App) (coalesc
 }
 
 // TestCoalescingGoldenRegistry runs every registered workload through
-// both simulation paths on clusters where coalescing genuinely engages
-// (4 and 8 slaves divide the registry's task counts at many stages) and
-// where it must fall back, and requires identical Results.
+// both simulation paths on clusters where the registry's task counts
+// divide evenly at many stages and on an odd node count that leaves
+// remainder tasks in many groups (their home nodes are simulated
+// individually beside the representative), and requires identical
+// Results.
 func TestCoalescingGoldenRegistry(t *testing.T) {
 	hdd, ssd := disk.NewHDD(), disk.NewSSD()
 	shapes := []struct {
@@ -51,7 +53,7 @@ func TestCoalescingGoldenRegistry(t *testing.T) {
 		{"4xSSD", 4, 8, ssd, ssd},
 		{"4xHDD", 4, 8, hdd, hdd},
 		{"8xHybrid", 8, 4, ssd, hdd},
-		{"3xSSD", 3, 8, ssd, ssd}, // odd node count: most stages fall back
+		{"3xSSD", 3, 8, ssd, ssd}, // odd node count: remainder nodes run individually
 	}
 	for _, name := range Names() {
 		w, err := Get(name)

@@ -4,7 +4,7 @@ package workloads
 // coalescing: every workload, run with degraded-mode machinery enabled
 // — fault injection, speculation, stragglers — must produce a
 // byte-identical spark.Result whether the simulator takes its default
-// path (partial coalescing where the pre-drawn plan allows, with
+// path (coalescing where the pre-drawn plan allows, with
 // runtime bail-out) or the DisableCoalescing per-task replay. Together
 // with FuzzFaultyCoalesce in internal/spark this is the acceptance
 // gate for the degraded-mode fast path — see docs/PERF.md.
@@ -43,9 +43,9 @@ func faultProfiles() map[string]func(cfg *spark.ClusterConfig) {
 }
 
 // TestFaultyCoalescingGoldenRegistry runs every registered workload
-// under every fault profile on shapes where partial coalescing can
-// engage (divisible task counts) and where it must fall back (odd node
-// counts), and requires identical Results from both paths.
+// under every fault profile on shapes with divisible task counts and on
+// an odd node count whose remainder nodes are dirty as well, and
+// requires identical Results from both paths.
 func TestFaultyCoalescingGoldenRegistry(t *testing.T) {
 	hdd, ssd := disk.NewHDD(), disk.NewSSD()
 	shapes := []struct {
@@ -55,7 +55,7 @@ func TestFaultyCoalescingGoldenRegistry(t *testing.T) {
 	}{
 		{"8xSSD", 8, 4, ssd, ssd},
 		{"4xHDD", 4, 8, hdd, hdd},
-		{"3xSSD", 3, 8, ssd, ssd}, // never partial-eligible: per-task on both calls
+		{"3xSSD", 3, 8, ssd, ssd}, // odd node count: remainder nodes dirty on top of the fault taint
 	}
 	for _, name := range Names() {
 		w, err := Get(name)
