@@ -227,11 +227,9 @@ func (s *calStats) counts() (int, int) {
 
 type calStatsKey struct{}
 
-// withCalStats returns a context carrying a fresh collector plus the
-// collector itself.
-func withCalStats(ctx context.Context) (context.Context, *calStats) {
-	s := &calStats{}
-	return context.WithValue(ctx, calStatsKey{}, s), s
+// withCalStats returns a context carrying the collector s.
+func withCalStats(ctx context.Context, s *calStats) context.Context {
+	return context.WithValue(ctx, calStatsKey{}, s)
 }
 
 // calStatsFrom extracts the collector; nil (a no-op recorder) when the

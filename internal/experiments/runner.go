@@ -3,10 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
+
+	"repro/internal/experiments/sweep"
 )
 
 // Report is the outcome of one experiment executed through the pool:
@@ -102,14 +102,15 @@ func RunAll(ctx context.Context, opts Options) []Report {
 	return reports
 }
 
-// RunSet regenerates the named artifacts concurrently on a worker pool.
-// The returned reports are in the order of ids. Unknown ids fail
-// upfront, before any work starts; individual artifact failures
-// (including panics and blown deadlines) are isolated into their own
-// Report and do not stop the remaining artifacts. Cancelling ctx stops
-// feeding the pool: artifacts not yet started report ctx's error, and
-// the call returns once in-flight artifacts finish, so partial results
-// are always available for flushing.
+// RunSet regenerates the named artifacts concurrently on the
+// sweep.StreamMap worker pool. The returned reports are in the order of
+// ids. Unknown ids fail upfront, before any work starts; individual
+// artifact failures (including panics and blown deadlines) are isolated
+// into their own Report and do not stop the remaining artifacts.
+// Cancelling ctx and ArtifactTimeout follow StreamMap's contract:
+// artifacts not yet started report ctx's error, and in-flight ones are
+// abandoned with ctx's (or the deadline's) error, so partial results
+// are available for flushing as soon as the call returns.
 func RunSet(ctx context.Context, ids []string, opts Options) ([]Report, error) {
 	exps := make([]Experiment, len(ids))
 	for i, id := range ids {
@@ -122,76 +123,34 @@ func RunSet(ctx context.Context, ids []string, opts Options) ([]Report, error) {
 	return runExperiments(ctx, exps, opts), nil
 }
 
-// runExperiments is the pool itself, factored out so tests can inject
-// experiments (e.g. deliberately failing ones) without touching the
-// global registry.
+// runExperiments is the pool call itself, factored out so tests can
+// inject experiments (e.g. deliberately failing ones) without touching
+// the global registry. Points are experiment indices, so each
+// artifact's calibration-cache collector is made here and still counts
+// an artifact whose deadline abandoned it.
 func runExperiments(ctx context.Context, exps []Experiment, opts Options) []Report {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	parallel := opts.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(exps) {
-		parallel = len(exps)
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
-	reports := make([]Report, len(exps))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				reports[i] = runOne(ctx, exps[i], opts.ArtifactTimeout)
-			}
-		}()
-	}
-feed:
+	idx := make([]int, len(exps))
+	stats := make([]*calStats, len(exps))
 	for i := range exps {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
+		idx[i], stats[i] = i, &calStats{}
 	}
-	close(idx)
-	wg.Wait()
-	// Artifacts the cancelled feed never dispatched still owe a report.
-	for i := range reports {
-		if reports[i].ID == "" {
-			reports[i] = Report{
-				ID:    exps[i].ID,
-				Title: exps[i].Title,
-				Err:   fmt.Errorf("experiments: %s not started: %w", exps[i].ID, context.Cause(ctx)),
-			}
-		}
-	}
-	return reports
-}
-
-// runOne executes a single experiment, capturing panics as errors so a
-// broken artifact cannot take down a whole sweep. A positive timeout
-// bounds the artifact with its own deadline; an artifact that outlives
-// it is abandoned (its goroutine drains in the background) and reported
-// as context.DeadlineExceeded.
-func runOne(ctx context.Context, e Experiment, timeout time.Duration) (rep Report) {
-	rep.ID = e.ID
-	rep.Title = e.Title
-	start := time.Now()
-	ctx, stats := withCalStats(ctx)
-	defer func() {
-		rep.Runtime = time.Since(start)
-		if r := recover(); r != nil {
-			rep.Table = nil
-			rep.Err = fmt.Errorf("experiments: %s panicked: %v", e.ID, r)
-		}
-		rep.CacheHits, rep.CacheMisses = stats.counts()
-		if rep.Table != nil {
+	outcomes, _ := sweep.StreamMap(ctx, idx,
+		sweep.StreamOptions{Parallel: opts.Parallel, PointTimeout: opts.ArtifactTimeout},
+		func(ctx context.Context, i int) (*Table, error) {
+			return exps[i].Run(withCalStats(ctx, stats[i]))
+		}, nil)
+	reports := make([]Report, len(exps))
+	for i, o := range outcomes {
+		e := exps[i]
+		rep := Report{ID: e.ID, Title: e.Title, Runtime: o.Elapsed}
+		rep.CacheHits, rep.CacheMisses = stats[i].counts()
+		switch {
+		case o.Err != nil:
+			rep.Err = fmt.Errorf("experiments: %s: %w", e.ID, o.Err)
+		case o.Value == nil:
+			rep.Err = fmt.Errorf("experiments: %s returned no table", e.ID)
+		default:
+			rep.Table = o.Value
 			rep.Table.SetMetric(RuntimeMetric, rep.Runtime.Seconds())
 			if lookups := rep.CacheHits + rep.CacheMisses; lookups > 0 {
 				rep.Table.SetMetric(CacheHitsMetric, float64(rep.CacheHits))
@@ -199,42 +158,9 @@ func runOne(ctx context.Context, e Experiment, timeout time.Duration) (rep Repor
 				rep.Table.SetMetric(CacheLookupsMetric, float64(lookups))
 			}
 		}
-	}()
-	if err := ctx.Err(); err != nil {
-		rep.Err = fmt.Errorf("experiments: %s not started: %w", e.ID, err)
-		return rep
+		reports[i] = rep
 	}
-	actx := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	type outcome struct {
-		table *Table
-		err   error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{err: fmt.Errorf("experiments: %s panicked: %v", e.ID, r)}
-			}
-		}()
-		t, err := e.Run(actx)
-		ch <- outcome{table: t, err: err}
-	}()
-	select {
-	case o := <-ch:
-		rep.Table, rep.Err = o.table, o.err
-	case <-actx.Done():
-		rep.Err = fmt.Errorf("experiments: %s: %w", e.ID, actx.Err())
-		return rep
-	}
-	if rep.Err == nil && rep.Table == nil {
-		rep.Err = fmt.Errorf("experiments: %s returned no table", e.ID)
-	}
-	return rep
+	return reports
 }
 
 // Failed filters the reports down to the failing ones.

@@ -12,24 +12,31 @@ import (
 type StreamOptions struct {
 	// Parallel is the worker-pool size; <=0 means GOMAXPROCS.
 	Parallel int
-	// PointTimeout bounds each point's evaluation with its own deadline.
-	// A point that outlives it is abandoned (its goroutine drains in the
-	// background, exactly like the experiments runner's per-artifact
-	// deadline) and reported with context.DeadlineExceeded. Zero means
-	// no per-point deadline.
+	// PointTimeout bounds each point's evaluation with its own deadline;
+	// a point that outlives it is abandoned (see StreamMap) and reported
+	// with context.DeadlineExceeded. Zero means no per-point deadline.
 	PointTimeout time.Duration
 }
 
-// StreamMap is Map with the campaign-grade controls long multi-point
-// studies need: cancelling ctx stops feeding the pool (in-flight points
-// finish, unstarted points report ctx's error), a positive PointTimeout
-// bounds each point with its own deadline, a panicking fn is captured
-// into that point's Err without disturbing its siblings, and sink —
-// when non-nil — is invoked as each point completes. Sink invocations
-// are serialized (one at a time, in completion order), so callers can
-// append to durable state such as a checkpoint file without their own
-// locking; a sink error cancels the remaining points and is returned.
-// Outcomes are returned in input order regardless of completion order.
+// StreamMap is the worker pool every sweep runs on: Map, the experiment
+// runner and the campaign runner all call it. It evaluates fn over
+// points on Parallel workers and returns the outcomes in input order
+// regardless of completion order. A panicking fn is captured into that
+// point's Err without disturbing its siblings.
+//
+// Cancellation and deadlines abandon work; they do not wait for it.
+// Once ctx is cancelled the pool starts no more points: each one not
+// yet started reports "not started" with ctx's cause, without running
+// fn. A point already in flight reports ctx's error at once; its fn
+// keeps running in the background, with a cancelled context, until it
+// returns, and StreamMap does not wait for it. A positive PointTimeout
+// abandons a point the same way and reports context.DeadlineExceeded.
+//
+// sink, when non-nil, is invoked as each started point completes.
+// Sink invocations are serialized (one at a time, in completion
+// order), so callers can append to durable state such as a checkpoint
+// file without their own locking; a sink error cancels the remaining
+// points and is returned.
 func StreamMap[P, R any](ctx context.Context, points []P, opts StreamOptions,
 	fn func(context.Context, P) (R, error),
 	sink func(i int, o Outcome[P, R]) error) ([]Outcome[P, R], error) {
@@ -81,18 +88,17 @@ func StreamMap[P, R any](ctx context.Context, points []P, opts StreamOptions,
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				deliver(i, evalPoint(ctx, points[i], opts.PointTimeout, fn))
+				if o, ok := evalPoint(ctx, points[i], opts.PointTimeout, fn); ok {
+					started[i] = true
+					deliver(i, o)
+				}
 			}
 		}()
 	}
-feed:
+	// After cancellation the workers drain the remaining indices
+	// without running fn, so every unstarted point is reported below.
 	for i := range points {
-		select {
-		case idx <- i:
-			started[i] = true
-		case <-ctx.Done():
-			break feed
-		}
+		idx <- i
 	}
 	close(idx)
 	wg.Wait()
@@ -112,9 +118,13 @@ feed:
 }
 
 // evalPoint runs fn for one point under its own deadline, capturing
-// panics as errors. fn runs in a child goroutine so a point that
-// ignores its context can still be abandoned when the deadline fires.
-func evalPoint[P, R any](ctx context.Context, p P, timeout time.Duration, fn func(context.Context, P) (R, error)) Outcome[P, R] {
+// panics as errors. It reports ok=false, without running fn, when ctx
+// is already cancelled. fn runs in a child goroutine so a point that
+// ignores its context can still be abandoned.
+func evalPoint[P, R any](ctx context.Context, p P, timeout time.Duration, fn func(context.Context, P) (R, error)) (o Outcome[P, R], ok bool) {
+	if ctx.Err() != nil {
+		return o, false
+	}
 	start := time.Now()
 	pctx := ctx
 	if timeout > 0 {
@@ -137,7 +147,7 @@ func evalPoint[P, R any](ctx context.Context, p P, timeout time.Duration, fn fun
 		v, err := fn(pctx, p)
 		ch <- result{v, err}
 	}()
-	o := Outcome[P, R]{Point: p}
+	o.Point = p
 	select {
 	case r := <-ch:
 		o.Value, o.Err = r.v, r.err
@@ -145,5 +155,5 @@ func evalPoint[P, R any](ctx context.Context, p P, timeout time.Duration, fn fun
 		o.Err = pctx.Err()
 	}
 	o.Elapsed = time.Since(start)
-	return o
+	return o, true
 }

@@ -1,18 +1,14 @@
-// Package sweep is the grid-sweep engine behind the what-if experiments:
-// it fans a model (or simulator) evaluation out over a parameter grid —
-// {nodes, cores/node, device, workload} points or arbitrary spec slices —
-// through a bounded worker pool with deterministic output ordering and
-// per-point error isolation. The cloud-cost figures, the optimizer's
-// grid search and the scale experiments all drive their evaluations
-// through Map instead of hand-rolled serial loops.
+// Package sweep fans evaluations out over parameter points — the
+// what-if grids, the cloud-cost figures, the experiment registry and
+// campaign studies — with deterministic output ordering and per-point
+// error isolation. StreamMap is the one worker pool; Map is its
+// context-free form, and GroupBy lets a sweep share expensive per-key
+// setup (a calibration, a compiled model) across its points.
 package sweep
 
 import (
-	"runtime"
-	"sync"
+	"context"
 	"time"
-
-	"repro/internal/disk"
 )
 
 // Outcome is the result of evaluating one grid point.
@@ -25,42 +21,13 @@ type Outcome[P, R any] struct {
 	Elapsed time.Duration
 }
 
-// Map evaluates fn over every point on a worker pool of the given size
-// (<=0 means GOMAXPROCS) and returns the outcomes in input order. fn
-// must be safe for concurrent use; each invocation receives its own
-// point value.
+// Map is StreamMap without a context, deadline or sink: it evaluates
+// fn over every point on a worker pool of the given size (<=0 means
+// GOMAXPROCS) and returns the outcomes in input order. fn must be safe
+// for concurrent use; each invocation receives its own point value.
 func Map[P, R any](points []P, parallel int, fn func(P) (R, error)) []Outcome[P, R] {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(points) {
-		parallel = len(points)
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
-	out := make([]Outcome[P, R], len(points))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				start := time.Now()
-				v, err := fn(points[i])
-				out[i] = Outcome[P, R]{
-					Point: points[i], Value: v, Err: err,
-					Elapsed: time.Since(start),
-				}
-			}
-		}()
-	}
-	for i := range points {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	out, _ := StreamMap(context.Background(), points, StreamOptions{Parallel: parallel},
+		func(_ context.Context, p P) (R, error) { return fn(p) }, nil)
 	return out
 }
 
@@ -76,67 +43,6 @@ func Values[P, R any](outcomes []Outcome[P, R]) ([]R, error) {
 	}
 	return vals, nil
 }
-
-// DevicePair names a (HDFS, Spark Local) device combination. The
-// constructors are invoked per point so every evaluation owns fresh
-// device instances.
-type DevicePair struct {
-	Name        string
-	HDFS, Local func() disk.Device
-}
-
-// Point is one cluster-shape evaluation point of a Grid.
-type Point struct {
-	Nodes, Cores int
-	Devices      DevicePair
-	Workload     string
-}
-
-// Grid is the cross product of cluster shapes the Doppio model answers
-// what-if questions over: node counts x cores/node x device pairs x
-// workloads. Empty axes contribute a single zero value, so a Grid can
-// sweep any subset of the dimensions.
-type Grid struct {
-	Nodes     []int
-	Cores     []int
-	Devices   []DevicePair
-	Workloads []string
-}
-
-// Points enumerates the grid in deterministic row-major order
-// (nodes, then cores, then devices, then workloads).
-func (g Grid) Points() []Point {
-	nodes := g.Nodes
-	if len(nodes) == 0 {
-		nodes = []int{0}
-	}
-	cores := g.Cores
-	if len(cores) == 0 {
-		cores = []int{0}
-	}
-	devices := g.Devices
-	if len(devices) == 0 {
-		devices = []DevicePair{{}}
-	}
-	workloads := g.Workloads
-	if len(workloads) == 0 {
-		workloads = []string{""}
-	}
-	out := make([]Point, 0, len(nodes)*len(cores)*len(devices)*len(workloads))
-	for _, n := range nodes {
-		for _, p := range cores {
-			for _, d := range devices {
-				for _, w := range workloads {
-					out = append(out, Point{Nodes: n, Cores: p, Devices: d, Workload: w})
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Size reports the number of points the grid enumerates.
-func (g Grid) Size() int { return len(g.Points()) }
 
 // Group is one key-sharing chunk of a sweep: the points that can share
 // expensive per-key setup (a calibration, a compiled model), plus their

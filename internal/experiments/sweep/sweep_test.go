@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/disk"
 )
 
 func TestMapPreservesOrder(t *testing.T) {
@@ -78,47 +76,6 @@ func TestMapEmptyAndSerial(t *testing.T) {
 	out := Map([]int{1, 2}, 1, func(p int) (int, error) { return p + 1, nil })
 	if out[0].Value != 2 || out[1].Value != 3 {
 		t.Errorf("serial map wrong: %+v", out)
-	}
-}
-
-func TestGridPoints(t *testing.T) {
-	g := Grid{
-		Nodes: []int{3, 10},
-		Cores: []int{16, 36},
-		Devices: []DevicePair{
-			{Name: "SSD/SSD", HDFS: func() disk.Device { return disk.NewSSD() }, Local: func() disk.Device { return disk.NewSSD() }},
-			{Name: "SSD/HDD", HDFS: func() disk.Device { return disk.NewSSD() }, Local: func() disk.Device { return disk.NewHDD() }},
-		},
-		Workloads: []string{"gatk4", "terasort"},
-	}
-	pts := g.Points()
-	if len(pts) != 16 || g.Size() != 16 {
-		t.Fatalf("points = %d, size = %d, want 16", len(pts), g.Size())
-	}
-	// Row-major: nodes vary slowest, workloads fastest.
-	if pts[0].Nodes != 3 || pts[0].Cores != 16 || pts[0].Devices.Name != "SSD/SSD" || pts[0].Workload != "gatk4" {
-		t.Errorf("pts[0] = %+v", pts[0])
-	}
-	if pts[1].Workload != "terasort" {
-		t.Errorf("pts[1] = %+v", pts[1])
-	}
-	if pts[15].Nodes != 10 || pts[15].Cores != 36 || pts[15].Devices.Name != "SSD/HDD" || pts[15].Workload != "terasort" {
-		t.Errorf("pts[15] = %+v", pts[15])
-	}
-	// Device constructors hand out fresh instances per call.
-	if pts[0].Devices.HDFS() == pts[0].Devices.HDFS() {
-		t.Error("device constructor returned a shared instance")
-	}
-}
-
-func TestGridEmptyAxes(t *testing.T) {
-	g := Grid{Cores: []int{1, 2, 4}}
-	pts := g.Points()
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[2].Cores != 4 || pts[2].Nodes != 0 || pts[2].Workload != "" {
-		t.Errorf("pts[2] = %+v", pts[2])
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/cloud"
@@ -861,52 +860,46 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) computeSweep(req SweepRequest) ([]byte, error) {
-	grid := sweep.Grid{Nodes: req.Nodes, Cores: req.Cores, Workloads: req.Workloads}
-	for _, d := range req.Devices {
-		grid.Devices = append(grid.Devices, sweep.DevicePair{Name: d.HDFS + "/" + d.Local})
+	// The grid in row-major order: nodes, then cores, then devices, then
+	// workloads.
+	slab := make([]SweepPointJSON, 0, len(req.Nodes)*len(req.Cores)*len(req.Devices)*len(req.Workloads))
+	for _, n := range req.Nodes {
+		for _, c := range req.Cores {
+			for _, d := range req.Devices {
+				for _, w := range req.Workloads {
+					slab = append(slab, SweepPointJSON{Workload: w, Nodes: n, Cores: c, HDFS: d.HDFS, Local: d.Local})
+				}
+			}
+		}
 	}
 	// The sweep planner: a calibration (and the model compiled against
 	// its devices) depends on (workload, nodes, device pair) but not on
 	// the cores axis, so points are grouped by that key, each group pays
 	// for calibration and compilation once, and its shapes stream through
 	// the zero-alloc PredictBatch. Groups fan out over the worker pool
-	// and write to disjoint indices of one preallocated result slab, so
-	// the response keeps row-major grid order without reassembly.
-	points := grid.Points()
+	// and write to disjoint indices of the slab, so the response keeps
+	// row-major grid order without reassembly. A group's failure,
+	// including a panic the pool captured, marks each of its points.
 	type calKey struct {
 		workload string
 		nodes    int
-		devices  string
+		devices  DevicePairJSON
 	}
-	groups := sweep.GroupBy(points, func(p sweep.Point) calKey {
-		return calKey{p.Workload, p.Nodes, p.Devices.Name}
+	groups := sweep.GroupBy(slab, func(p SweepPointJSON) calKey {
+		return calKey{p.Workload, p.Nodes, DevicePairJSON{HDFS: p.HDFS, Local: p.Local}}
 	})
-	slab := make([]SweepPointJSON, len(points))
-	sweep.Map(groups, 0, func(g sweep.Group[calKey, sweep.Point]) (struct{}, error) {
-		hdfsName, localName, _ := strings.Cut(g.Key.devices, "/")
-		for j, p := range g.Points {
-			slab[g.Indices[j]] = SweepPointJSON{
-				Workload: p.Workload, Nodes: p.Nodes, Cores: p.Cores,
-				HDFS: hdfsName, Local: localName,
-			}
-		}
-		fail := func(err error) (struct{}, error) {
-			for _, idx := range g.Indices {
-				slab[idx].Err = err.Error()
-			}
-			return struct{}{}, nil
-		}
+	outcomes := sweep.Map(groups, 0, func(g sweep.Group[calKey, SweepPointJSON]) (struct{}, error) {
 		cal, err := s.calibration(g.Key.workload, g.Key.nodes)
 		if err != nil {
-			return fail(err)
+			return struct{}{}, err
 		}
-		cfg, err := scenario.Spec{Cluster: scenario.Cluster{Slaves: g.Key.nodes, Cores: 1, HDFS: hdfsName, Local: localName}}.Config()
+		cfg, err := scenario.Spec{Cluster: scenario.Cluster{Slaves: g.Key.nodes, Cores: 1, HDFS: g.Key.devices.HDFS, Local: g.Key.devices.Local}}.Config()
 		if err != nil {
-			return fail(err)
+			return struct{}{}, err
 		}
 		cm, err := core.Compile(cal.Model, core.EnvOf(core.PlatformFor(cfg)), core.ModeDoppio)
 		if err != nil {
-			return fail(err)
+			return struct{}{}, err
 		}
 		shapes := make([]core.Shape, len(g.Points))
 		for j, p := range g.Points {
@@ -914,18 +907,25 @@ func (s *Server) computeSweep(req SweepRequest) ([]byte, error) {
 		}
 		totals := make([]time.Duration, len(shapes))
 		if _, err := cm.PredictBatch(shapes, totals); err != nil {
-			return fail(err)
+			return struct{}{}, err
 		}
 		for j, idx := range g.Indices {
 			slab[idx].TotalSeconds = totals[j].Seconds()
 			top, err := cm.TopBottleneck(shapes[j].N, shapes[j].P)
 			if err != nil {
-				return fail(err)
+				return struct{}{}, err
 			}
 			slab[idx].Bottleneck = top
 		}
 		return struct{}{}, nil
 	})
-	s.sweepPoints.Add(uint64(len(points)))
+	for i, o := range outcomes {
+		if o.Err != nil {
+			for _, idx := range groups[i].Indices {
+				slab[idx].Err = o.Err.Error()
+			}
+		}
+	}
+	s.sweepPoints.Add(uint64(len(slab)))
 	return marshalBody(SweepResponse{Points: slab})
 }

@@ -340,7 +340,8 @@ func TestSweepRoute(t *testing.T) {
 			t.Errorf("point missing bottleneck: %+v", p)
 		}
 	}
-	// Row-major grid order: cores vary before devices in Grid.Points.
+	// Row-major grid order: nodes, then cores, then devices, then
+	// workloads, so devices vary faster than cores.
 	if resp.Points[0].Cores != 4 || resp.Points[0].Local != "ssd" ||
 		resp.Points[1].Local != "hdd" || resp.Points[2].Cores != 8 {
 		t.Errorf("points not in row-major grid order: %+v", resp.Points)
